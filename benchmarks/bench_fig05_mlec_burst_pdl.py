@@ -2,11 +2,13 @@
 
 Regenerates the four heatmaps (y failed disks x racks affected) with the
 Monte-Carlo burst engine, plus the exact DP values at the diagnostic cells,
-and asserts the paper's Findings 1-7.
+and asserts the paper's Findings 1-7.  The BENCH record times the two as
+phases ``mc`` and ``dp``: the DP dominates the wall-clock, so a burst-path
+regression shows only in ``mc``.
 """
 
 import numpy as np
-from _harness import bench_batch, bench_workers, emit, once, scaled_trials
+from _harness import PhaseTimer, bench_batch, bench_workers, emit, once, scaled_trials
 
 from repro import PAPER_MLEC, mlec_scheme_from_name
 from repro.analysis.burst_dp import mlec_burst_pdl
@@ -23,6 +25,7 @@ WORKERS = bench_workers()
 N_CELLS = int(sum((FAILURES >= x).sum() for x in RACKS))
 # Module-level so the telemetry record can name the backend that ran it.
 RUNNER = TrialRunner(workers=WORKERS, batch=bench_batch())
+PHASES = PhaseTimer()
 
 
 def build_figure():
@@ -31,20 +34,22 @@ def build_figure():
     grids = {}
     for name in SCHEMES:
         ev = MLECBurstEvaluator(mlec_scheme_from_name(name, PAPER_MLEC))
-        grid = burst_pdl_grid(ev, FAILURES, RACKS, trials=TRIALS, seed=5,
-                              runner=runner)
+        with PHASES.phase("mc"):
+            grid = burst_pdl_grid(ev, FAILURES, RACKS, trials=TRIALS, seed=5,
+                                  runner=runner)
         grids[name] = grid
         sections.append(format_heatmap(
             grid, FAILURES.tolist(), RACKS.tolist(),
             title=f"Figure 5{chr(ord('a') + SCHEMES.index(name))}: {name}",
         ))
-    dp_rows = [
-        [name,
-         mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 60, 3),
-         mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 60, 12),
-         mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 11, 3)]
-        for name in SCHEMES
-    ]
+    with PHASES.phase("dp"):
+        dp_rows = [
+            [name,
+             mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 60, 3),
+             mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 60, 12),
+             mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), 11, 3)]
+            for name in SCHEMES
+        ]
     sections.append(format_table(
         ["scheme", "DP PDL(60,3)", "DP PDL(60,12)", "DP PDL(11,3)"],
         dp_rows, title="Exact dynamic-programming spot checks:",
@@ -56,7 +61,7 @@ def test_fig05_mlec_burst_pdl(benchmark):
     grids, dp_rows, text = once(
         benchmark, build_figure,
         trials=len(SCHEMES) * N_CELLS * TRIALS, workers=WORKERS,
-        runner=RUNNER,
+        runner=RUNNER, phases=PHASES,
     )
     emit("fig05_mlec_burst_pdl", text)
 

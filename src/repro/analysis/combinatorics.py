@@ -14,6 +14,8 @@ Three small tools power every probability-of-data-loss computation:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.arrays import AnyArray
@@ -29,12 +31,20 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=4096)
 def hypergeom_tail(pool: int, failed: int, width: int, p: int) -> float:
     """P[more than ``p`` of a ``width``-chunk stripe land on failed devices].
 
     The stripe occupies ``width`` distinct devices drawn uniformly from a
     ``pool`` containing ``failed`` failed devices -- the declustered-pool
     stripe-damage model.
+
+    Memoized: burst evaluators call this with a handful of distinct
+    small-integer arguments per scheme, thousands of times per heatmap.
+    The cache is module-level (evaluators pickled into chunk jobs carry
+    none of it), bounded, and never holds an error -- invalid arguments
+    raise on every call.  ``np.int64`` and ``int`` arguments of equal
+    value share an entry and return the same float.
     """
     if not 0 <= failed <= pool:
         raise ValueError("failed must be in [0, pool]")

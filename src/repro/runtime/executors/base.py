@@ -86,12 +86,14 @@ class ChunkPayload:
     """One chunk's results plus its telemetry, shipped back from a worker.
 
     ``batch`` is ``(batched, demoted)`` trial counts from the batch
-    engine (``(0, 0)`` for a scalar chunk).  ``host`` is the
-    :func:`worker_label` of wherever the chunk executed -- purely
-    operational attribution for the runner's attempt spans, never part
-    of result artifacts.  Payloads unpickled from journals written
-    before either field exist lack the attribute entirely; readers go
-    through ``getattr(payload, "batch", (0, 0))`` /
+    engine (``(0, 0)`` for a scalar chunk); ``batch_fallback`` is true
+    when a ``batch="auto"`` attempt raised and the chunk re-ran scalar.
+    ``host`` is the :func:`worker_label` of wherever the chunk executed
+    -- purely operational attribution for the runner's attempt spans,
+    never part of result artifacts.  Payloads unpickled from journals
+    written before these fields existed lack the attribute entirely;
+    readers go through ``getattr(payload, "batch", (0, 0))`` /
+    ``getattr(payload, "batch_fallback", False)`` /
     ``getattr(payload, "host", None)``.
     """
 
@@ -101,6 +103,7 @@ class ChunkPayload:
     records: list[dict[str, Any]]
     batch: tuple[int, int] = (0, 0)
     host: str | None = None
+    batch_fallback: bool = False
 
 
 _worker_label_cache: tuple[int, str] | None = None
@@ -142,17 +145,30 @@ def run_chunk(
 
     ``batch`` (``auto``/``on``/``off``) selects the vectorized batch
     engine for trial functions that have one registered
-    (:mod:`repro.sim.batch`).  The batch attempt is all-or-nothing: on
-    any error its partial state is discarded and the chunk re-runs
-    through this scalar loop, so failure semantics (a
-    :class:`ChunkFailure` naming the exact trial) are unchanged.
+    (:mod:`repro.sim.batch`).  The batch attempt is all-or-nothing.
+    Under ``"auto"`` an error discards its partial state and the chunk
+    re-runs through this scalar loop (flagged ``batch_fallback`` so the
+    runner counts it), keeping the scalar failure semantics: a
+    :class:`ChunkFailure` naming the exact trial.  Under ``"on"`` the
+    batch error itself is the chunk's :class:`ChunkFailure`, so a batch
+    bug surfaces instead of costing only time.
     """
     began = time.perf_counter()
+    fell_back = False
     if batch != "off":
-        batched = _run_chunk_batched(
-            fn, start, children, args, collect_metrics, collect_trace,
-            batch, began,
-        )
+        try:
+            batched = _run_chunk_batched(
+                fn, start, children, args, collect_metrics, collect_trace,
+                batch, began,
+            )
+        except Exception as exc:
+            if batch == "on":
+                return ChunkFailure(
+                    index=start,
+                    message=f"batch engine: {type(exc).__name__}: {exc}",
+                    worker_traceback=traceback.format_exc(),
+                )
+            batched, fell_back = None, True
         if batched is not None:
             return batched
     metrics = MetricsRegistry() if collect_metrics else None
@@ -177,6 +193,7 @@ def run_chunk(
         metrics=metrics,
         records=records,
         host=worker_label(),
+        batch_fallback=fell_back,
     )
 
 
@@ -190,45 +207,47 @@ def _run_chunk_batched(
     mode: str,
     began: float,
 ) -> ChunkPayload | None:
-    """One all-or-nothing batch attempt at a chunk; ``None`` falls back.
+    """One all-or-nothing batch attempt at a chunk.
 
-    The attempt works on its own registry and recorders, so a failed
-    attempt leaves nothing behind -- the scalar loop then recomputes the
-    chunk from the same seed streams, which re-derives every draw.
+    ``None`` means the chunk does not batch (mode, registry or size);
+    any error raises.  The attempt works on its own registry and
+    recorders, so a failed attempt leaves nothing behind -- a scalar
+    re-run recomputes the chunk from the same seed streams, which
+    re-derives every draw.
     """
-    try:
-        from repro.sim.batch import batch_impl_for, resolve_batch_mode
+    from repro.sim.batch import batch_impl_for, resolve_batch_mode
 
-        if not resolve_batch_mode(mode, fn, len(children)):
-            return None
-        impl = batch_impl_for(fn)
-        assert impl is not None  # resolve_batch_mode checked the registry
-        metrics = MetricsRegistry() if collect_metrics else None
-        traces = [
-            TraceRecorder(trial=start + offset) if collect_trace else None
-            for offset in range(len(children))
-        ]
-        contexts = [
-            _trial_context(start + offset, child, metrics, traces[offset])
-            for offset, child in enumerate(children)
-        ]
-        values, stats = impl(fn, contexts, args)
-        if len(values) != len(children):
-            return None
-        records: list[dict[str, Any]] = []
-        for trace in traces:
-            if trace is not None:
-                records.extend(trace.records)
-        return ChunkPayload(
-            values=values,
-            seconds=time.perf_counter() - began,
-            metrics=metrics,
-            records=records,
-            batch=(stats.batched, stats.demoted),
-            host=worker_label(),
+    if not resolve_batch_mode(mode, fn, len(children)):
+        return None
+    impl = batch_impl_for(fn)
+    assert impl is not None  # resolve_batch_mode checked the registry
+    metrics = MetricsRegistry() if collect_metrics else None
+    traces = [
+        TraceRecorder(trial=start + offset) if collect_trace else None
+        for offset in range(len(children))
+    ]
+    contexts = [
+        _trial_context(start + offset, child, metrics, traces[offset])
+        for offset, child in enumerate(children)
+    ]
+    values, stats = impl(fn, contexts, args)
+    if len(values) != len(children):
+        raise RuntimeError(
+            f"batch implementation returned {len(values)} values for "
+            f"{len(children)} trials"
         )
-    except Exception:
-        return None  # any batch-path error: discard and go scalar
+    records: list[dict[str, Any]] = []
+    for trace in traces:
+        if trace is not None:
+            records.extend(trace.records)
+    return ChunkPayload(
+        values=values,
+        seconds=time.perf_counter() - began,
+        metrics=metrics,
+        records=records,
+        batch=(stats.batched, stats.demoted),
+        host=worker_label(),
+    )
 
 
 def _trial_context(

@@ -272,11 +272,14 @@ class TrialRunner:
         ``"auto"`` (the default), ``"on"``, or ``"off"``: whether chunks
         may use the vectorized batch engine (:mod:`repro.sim.batch`) for
         trial functions that have one.  Purely a speed knob -- results
-        are bit-identical in every mode.  ``auto`` skips tiny chunks;
-        ``on`` forces batching whenever an implementation exists.  How
-        trials split between the vector path and scalar demotion is
-        reported in :attr:`ops_metrics` (``sim.batch_trials`` /
-        ``sim.batch_demotions``).
+        are bit-identical in every mode.  ``auto`` skips chunks below
+        the implementation's minimum size and re-runs a chunk scalar
+        if its batch attempt raises; ``on`` forces batching whenever an
+        implementation exists and reports a batch error as a trial
+        failure.  How trials split between the vector path and scalar
+        demotion is reported in :attr:`ops_metrics`
+        (``sim.batch_trials`` / ``sim.batch_demotions``), and ``auto``
+        fallbacks as ``sim.batch_fallbacks`` (one per chunk).
     """
 
     def __init__(
@@ -623,6 +626,8 @@ class TrialRunner:
             self.ops_metrics.counter("sim.batch_trials").inc(batched)
         if demoted:
             self.ops_metrics.counter("sim.batch_demotions").inc(demoted)
+        if getattr(payload, "batch_fallback", False):
+            self.ops_metrics.counter("sim.batch_fallbacks").inc()
 
     @staticmethod
     def _check_chunk(

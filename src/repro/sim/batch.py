@@ -23,7 +23,9 @@ and returns the same values the scalar loop would have produced,
   vector form -- are **demoted**: the original scalar trial function (or
   scalar evaluator) runs for exactly that trial, on the same context.
   Because ``ctx.rng()`` restarts the trial's private stream, a demotion
-  reproduces the scalar path verbatim.
+  reproduces the scalar path verbatim.  A demoted *burst* goes to the
+  scalar evaluator on the sample the batch already drew from that same
+  stream, so it is never drawn twice.
 * Telemetry is reproduced exactly: counters are incremented with the same
   exact-integer / same-fold-order arithmetic the scalar loop uses, and
   per-trial trace records are written through each context's own
@@ -73,7 +75,8 @@ __all__ = [
 ]
 
 #: ``batch="auto"`` engages the batch engine only for chunks at least
-#: this large; below it the array setup costs more than it saves.
+#: this large (unless the implementation registered its own minimum);
+#: below it the array setup costs more than it saves.
 BATCH_MIN_TRIALS = 8
 
 #: Valid values of the ``batch`` knob.
@@ -95,11 +98,13 @@ BatchImpl = Callable[
     tuple[list[Any], BatchStats],
 ]
 
-_IMPLS: dict[Callable[..., Any], BatchImpl] = {}
+#: Scalar trial function -> (batch implementation, ``auto`` chunk minimum).
+_IMPLS: dict[Callable[..., Any], tuple[BatchImpl, int]] = {}
 
 
 def register_batch_impl(
     scalar_fn: Callable[..., Any],
+    min_trials: int = BATCH_MIN_TRIALS,
 ) -> Callable[[BatchImpl], BatchImpl]:
     """Register a batch implementation for a scalar trial function.
 
@@ -108,12 +113,15 @@ def register_batch_impl(
         @register_batch_impl(_burst_trial)
         def _burst_trial_batch(fn, contexts, args): ...
 
-    The registry is keyed by the function object itself, so a worker that
+    ``min_trials`` is the smallest chunk ``batch="auto"`` hands to the
+    implementation; a trial function whose every trial is itself a block
+    of work (a heatmap cell of many bursts) registers ``1``.  The
+    registry is keyed by the function object itself, so a worker that
     unpickled ``scalar_fn`` by reference resolves the same entry.
     """
 
     def decorate(impl: BatchImpl) -> BatchImpl:
-        _IMPLS[scalar_fn] = impl
+        _IMPLS[scalar_fn] = (impl, min_trials)
         return impl
 
     return decorate
@@ -121,7 +129,8 @@ def register_batch_impl(
 
 def batch_impl_for(fn: Callable[..., Any]) -> BatchImpl | None:
     """The registered batch implementation for ``fn``, if any."""
-    return _IMPLS.get(fn)
+    entry = _IMPLS.get(fn)
+    return entry[0] if entry is not None else None
 
 
 def resolve_batch_mode(mode: str, fn: Callable[..., Any], n_trials: int) -> bool:
@@ -129,19 +138,20 @@ def resolve_batch_mode(mode: str, fn: Callable[..., Any], n_trials: int) -> bool
 
     ``"off"`` never batches; ``"on"`` batches whenever ``fn`` has a
     registered implementation; ``"auto"`` additionally requires the chunk
-    to reach :data:`BATCH_MIN_TRIALS` so tiny chunks skip the setup cost.
-    The decision affects speed only -- results are bit-identical either
-    way.
+    to reach the implementation's registered minimum (by default
+    :data:`BATCH_MIN_TRIALS`) so tiny chunks skip the setup cost.  The
+    decision affects speed only -- results are bit-identical either way.
     """
     if mode not in BATCH_MODES:
         raise ValueError(
             f"batch mode must be one of {BATCH_MODES}, got {mode!r}"
         )
-    if mode == "off" or batch_impl_for(fn) is None:
+    entry = _IMPLS.get(fn)
+    if mode == "off" or entry is None:
         return False
     if mode == "on":
         return True
-    return n_trials >= BATCH_MIN_TRIALS
+    return n_trials >= entry[1]
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +270,8 @@ def _burst_trial_batch(
     Samples every trial's burst on its private stream through one shared
     generator (one topology construction per chunk instead of one per
     trial), classifies guaranteed PDLs for the whole chunk at once, and
-    demotes only the undecided trials back to ``fn``.
+    demotes only the undecided trials to the scalar evaluator -- on the
+    burst already drawn, so no trial samples twice.
     """
     evaluator, failures, racks, dc = args
     values: list[Any] = []
@@ -282,23 +293,24 @@ def _burst_trial_batch(
 
     for i, ctx in enumerate(contexts):  # simlint: disable=SL010
         pdl = float(classified[i])
-        if pdl != pdl:  # NaN: demote; ctx.rng() re-derives the same burst
-            values.append(fn(ctx, *args))
+        if pdl != pdl:  # NaN: the scalar evaluator decides this burst
+            pdl = evaluator.pdl_of_burst(samples[i])
             demoted += 1
-            continue
+        else:
+            batched += 1
         if ctx.metrics is not None:
             ctx.metrics.counter("burst.trials").inc()
             ctx.metrics.counter("burst.loss_trials").inc(int(pdl > 0.0))
         if ctx.trace is not None:
             ctx.trace.event(
-                0.0, "burst.trial", failures=failures, racks=racks, pdl=pdl
+                0.0, "burst.trial", failures=failures, racks=racks,
+                pdl=float(pdl),
             )
         values.append(pdl)
-        batched += 1
     return values, BatchStats(batched=batched, demoted=demoted)
 
 
-@register_batch_impl(_grid_cell_trial)
+@register_batch_impl(_grid_cell_trial, min_trials=1)
 def _grid_cell_trial_batch(
     fn: Callable[..., Any],
     contexts: Sequence[TrialContext],

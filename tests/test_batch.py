@@ -16,17 +16,21 @@ from repro.core.config import YEAR, LRCParams, MLECParams, SLECParams
 from repro.core.scheme import LRCScheme, SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement, RepairMethod
 from repro.obs import MetricsRegistry, TraceRecorder
-from repro.runtime import TrialRunner
+from repro.runtime import TrialExecutionError, TrialRunner
+from repro.sim import batch as batch_module
 from repro.sim.batch import (
     BATCH_MIN_TRIALS,
     batch_impl_for,
+    register_batch_impl,
     resolve_batch_mode,
 )
 from repro.sim.burst import (
+    BurstGenerator,
     LRCBurstEvaluator,
     MLECBurstEvaluator,
     SLECBurstEvaluator,
     _burst_trial,
+    _grid_cell_trial,
     burst_pdl_grid,
     burst_pdl_stats,
 )
@@ -73,6 +77,8 @@ class TestResolveBatchMode:
         below = BATCH_MIN_TRIALS - 1
         assert resolve_batch_mode("auto", _burst_trial, below) is False
         assert resolve_batch_mode("auto", _burst_trial, BATCH_MIN_TRIALS) is True
+        # Each grid-cell trial is a block of bursts: any chunk batches.
+        assert resolve_batch_mode("auto", _grid_cell_trial, 1) is True
 
     def test_runner_validates_mode(self):
         with pytest.raises(ValueError, match="batch"):
@@ -129,6 +135,25 @@ class TestBurstIdentity:
         assert demoted > 0  # loss-exposed trials need the scalar evaluator
         assert sides["on"][0].losses > 0
 
+    def test_demoted_bursts_are_drawn_once(self, monkeypatch):
+        """A demoted burst is evaluated on its batch sample, not redrawn."""
+        calls = []
+        sample = BurstGenerator.sample
+
+        def counting_sample(gen, failures, racks):
+            calls.append((failures, racks))
+            return sample(gen, failures, racks)
+
+        monkeypatch.setattr(BurstGenerator, "sample", counting_sample)
+        sides = burst_identity_case(mlec_evaluator("D/D"), 60, 3)
+        _batched, demoted = batch_counters(sides["on"][3])
+        assert demoted > 0
+        # One draw per trial on each side (40 batched + 40 scalar).
+        assert len(calls) == 2 * 40
+        assert sides["on"][0] == sides["off"][0]
+        assert sides["on"][1] == sides["off"][1]
+        assert sides["on"][2] == sides["off"][2]
+
     def test_workers_and_batch_modes_all_identical(self):
         ev = mlec_evaluator("D/D")
         reference = None
@@ -152,6 +177,21 @@ class TestGridIdentity:
         off = burst_pdl_grid(ev, failures, racks, trials=10, seed=3,
                              runner=TrialRunner(batch="off"))
         assert np.array_equal(on, off, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_fig5_grid_batches_every_chunk_under_auto(self, name):
+        """The 29 feasible Fig. 5 cells chunk 8/8/8/5; none runs scalar."""
+        ev = mlec_evaluator(name)
+        failures = np.array([12, 24, 36, 48, 60])
+        racks = np.array([1, 2, 3, 6, 12, 30, 60])
+        runner = TrialRunner(workers=1, batch="auto")
+        auto = burst_pdl_grid(ev, failures, racks, trials=4, seed=5,
+                              runner=runner)
+        off = burst_pdl_grid(ev, failures, racks, trials=4, seed=5,
+                             runner=TrialRunner(workers=1, batch="off"))
+        assert auto.tobytes() == off.tobytes()
+        batched, demoted = batch_counters(runner)
+        assert batched + demoted == 29
 
 
 def simulate_case(scheme_name, afr, mission_time, trials, *, mode,
@@ -225,6 +265,33 @@ class TestSimulateIdentity:
             "C/C", 0.02, YEAR / 12, 16, mode="on", workers=2)
         assert w1 == w2
         assert m1 == m2
+
+
+def _always_zero(ctx):
+    return 0.0
+
+
+def _raising_impl(fn, contexts, args):
+    raise RuntimeError("broken batch implementation")
+
+
+class TestBatchFallback:
+    @pytest.fixture(autouse=True)
+    def raising_registration(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_IMPLS", dict(batch_module._IMPLS))
+        register_batch_impl(_always_zero, min_trials=1)(_raising_impl)
+
+    def test_on_surfaces_batch_errors(self):
+        runner = TrialRunner(batch="on", chunk_size=4)
+        with pytest.raises(TrialExecutionError, match="broken batch"):
+            runner.map(_always_zero, 12, seed=0)
+
+    def test_auto_falls_back_and_counts_each_chunk(self):
+        runner = TrialRunner(batch="auto", chunk_size=4)
+        assert runner.map(_always_zero, 12, seed=0) == [0.0] * 12
+        counters = runner.ops_metrics.snapshot()["counters"]
+        assert counters["sim.batch_fallbacks"] == 3
+        assert batch_counters(runner) == (0, 0)
 
 
 class TestOpsTelemetrySegregation:

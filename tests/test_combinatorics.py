@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.analysis.combinatorics import (
     any_of_many,
@@ -36,6 +37,24 @@ class TestHypergeomTail:
             hypergeom_tail(10, 11, 5, 2)
         with pytest.raises(ValueError):
             hypergeom_tail(10, 5, 11, 2)
+
+    def test_memo_returns_scipy_value_for_int_and_int64(self):
+        direct = float(stats.hypergeom.sf(3, 120, 7, 20))
+        ints = (120, 7, 20, 3)
+        int64s = tuple(np.int64(a) for a in ints)
+        for first, second in ((ints, int64s), (int64s, ints)):
+            hypergeom_tail.cache_clear()
+            for args in (first, second):  # computed, then served from cache
+                value = hypergeom_tail(*args)
+                assert type(value) is float
+                assert value == direct
+            assert hypergeom_tail.cache_info().hits == 1
+
+    def test_memo_never_caches_errors(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                hypergeom_tail(10, 11, 5, 2)
+        assert hypergeom_tail.cache_info().maxsize is not None
 
     @given(
         failed=st.integers(min_value=0, max_value=12),
