@@ -86,14 +86,16 @@ class ChunkPayload:
     """One chunk's results plus its telemetry, shipped back from a worker.
 
     ``batch`` is ``(batched, demoted)`` trial counts from the batch
-    engine (``(0, 0)`` for a scalar chunk); ``batch_fallback`` is true
-    when a ``batch="auto"`` attempt raised and the chunk re-ran scalar.
+    engine (``(0, 0)`` for a scalar chunk) and ``batch_demotions`` splits
+    ``demoted`` by reason; ``batch_fallback`` is true when a
+    ``batch="auto"`` attempt raised and the chunk re-ran scalar.
     ``host`` is the :func:`worker_label` of wherever the chunk executed
     -- purely operational attribution for the runner's attempt spans,
     never part of result artifacts.  Payloads unpickled from journals
     written before these fields existed lack the attribute entirely;
     readers go through ``getattr(payload, "batch", (0, 0))`` /
     ``getattr(payload, "batch_fallback", False)`` /
+    ``getattr(payload, "batch_demotions", {})`` /
     ``getattr(payload, "host", None)``.
     """
 
@@ -104,6 +106,7 @@ class ChunkPayload:
     batch: tuple[int, int] = (0, 0)
     host: str | None = None
     batch_fallback: bool = False
+    batch_demotions: dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 _worker_label_cache: tuple[int, str] | None = None
@@ -247,6 +250,7 @@ def _run_chunk_batched(
         records=records,
         batch=(stats.batched, stats.demoted),
         host=worker_label(),
+        batch_demotions=stats.demotions,
     )
 
 

@@ -278,8 +278,9 @@ class TrialRunner:
         implementation exists and reports a batch error as a trial
         failure.  How trials split between the vector path and scalar
         demotion is reported in :attr:`ops_metrics`
-        (``sim.batch_trials`` / ``sim.batch_demotions``), and ``auto``
-        fallbacks as ``sim.batch_fallbacks`` (one per chunk).
+        (``sim.batch_trials`` / ``sim.batch_demotions``, split by reason
+        as ``sim.batch_demotions.<reason>``), and ``auto`` fallbacks
+        as ``sim.batch_fallbacks`` (one per chunk).
     """
 
     def __init__(
@@ -618,14 +619,18 @@ class TrialRunner:
         """Fold a chunk's batch-engine split into the ops telemetry.
 
         Operational only -- never part of result artifacts, so batch=on
-        and batch=off runs stay byte-identical.  ``getattr`` covers
-        payloads unpickled from pre-batch checkpoint journals.
+        and batch=off runs stay byte-identical.  Demotions also count
+        per reason as ``sim.batch_demotions.<reason>``, summing to
+        ``sim.batch_demotions``.  ``getattr`` covers payloads unpickled
+        from checkpoint journals written before these fields existed.
         """
         batched, demoted = getattr(payload, "batch", (0, 0))
         if batched:
             self.ops_metrics.counter("sim.batch_trials").inc(batched)
         if demoted:
             self.ops_metrics.counter("sim.batch_demotions").inc(demoted)
+        for reason, count in getattr(payload, "batch_demotions", {}).items():
+            self.ops_metrics.counter(f"sim.batch_demotions.{reason}").inc(count)
         if getattr(payload, "batch_fallback", False):
             self.ops_metrics.counter("sim.batch_fallbacks").inc()
 

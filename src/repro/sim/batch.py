@@ -15,9 +15,13 @@ and returns the same values the scalar loop would have produced,
 
 * Per-trial random draws are never vectorized *across* trials -- each
   trial's generator is private (``ctx.rng()``), so draws that must happen
-  replay the scalar call sequence on the trial's own stream.  What gets
-  vectorized is everything *around* the draws: damage classification,
-  zero-PDL detection, failure-chain advancement, closed-form accounting.
+  replay the scalar call sequence on the trial's own stream.  Within one
+  trial, a run of sequential draws becomes one sized call
+  (``rng.exponential(scale, size=K)`` equals K scalar calls bit for
+  bit), which is how a simulate trial's whole failure chain is merged
+  from a single block of replacement draws.  What gets vectorized is
+  everything *around* the draws: damage classification, zero-PDL
+  detection, failure-chain advancement, closed-form accounting.
 * Trials that enter rare complex states -- a catastrophic pool, failures
   overlapping inside one pool's repair window, an evaluator with no
   vector form -- are **demoted**: the original scalar trial function (or
@@ -36,16 +40,18 @@ The engine is wired in as a per-chunk implementation detail of
 :func:`repro.runtime.executors.run_chunk` (the ``batch=auto|on|off``
 knob on :class:`~repro.runtime.TrialRunner` /
 :class:`~repro.runtime.ResilientRunner`): a chunk first tries its
-registered batch implementation and falls back to the scalar loop on any
-error, so a batch bug can cost time but never correctness.  How many
-trials ran batched vs. demoted is surfaced through the runner's
-operational metrics (``sim.batch_trials`` / ``sim.batch_demotions``).
+registered batch implementation; under ``auto`` any error re-runs the
+chunk on the scalar loop, so a batch bug can cost time but never
+correctness, and under ``on`` the error fails the chunk.  How many
+trials ran batched vs. demoted, and why each demoted, is surfaced
+through the runner's operational metrics (``sim.batch_trials`` /
+``sim.batch_demotions`` / ``sim.batch_demotions.<reason>``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
+from collections import Counter
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -85,10 +91,19 @@ BATCH_MODES = ("auto", "on", "off")
 
 @dataclasses.dataclass(frozen=True)
 class BatchStats:
-    """How a batched chunk split: trials vectorized vs. demoted to scalar."""
+    """How a batched chunk split: trials vectorized vs. demoted to scalar.
+
+    ``demotions`` counts demoted trials by reason: ``traced``,
+    ``time_tie`` and ``parity_window`` (simulate), ``undecided`` and
+    ``no_vector_form`` (bursts).
+    """
 
     batched: int = 0
-    demoted: int = 0
+    demotions: dict[str, int] = dataclasses.field(default_factory=dict)
+
+    @property
+    def demoted(self) -> int:
+        return sum(self.demotions.values())
 
 
 #: A batch implementation: ``impl(scalar_fn, contexts, args)`` returns the
@@ -275,7 +290,9 @@ def _burst_trial_batch(
     """
     evaluator, failures, racks, dc = args
     values: list[Any] = []
-    batched = demoted = 0
+    batched = 0
+    demotions: Counter[str] = Counter()
+    reason = "undecided"
 
     if _slec_trivial_zero(evaluator, failures):
         classified: AnyArray | None = np.zeros(len(contexts))
@@ -290,12 +307,13 @@ def _burst_trial_batch(
         classified = _classify_burst_pdls(evaluator, samples)
         if classified is None:
             classified = np.full(len(contexts), np.nan)
+            reason = "no_vector_form"
 
     for i, ctx in enumerate(contexts):  # simlint: disable=SL010
         pdl = float(classified[i])
         if pdl != pdl:  # NaN: the scalar evaluator decides this burst
             pdl = evaluator.pdl_of_burst(samples[i])
-            demoted += 1
+            demotions[reason] += 1
         else:
             batched += 1
         if ctx.metrics is not None:
@@ -307,7 +325,7 @@ def _burst_trial_batch(
                 pdl=float(pdl),
             )
         values.append(pdl)
-    return values, BatchStats(batched=batched, demoted=demoted)
+    return values, BatchStats(batched, dict(demotions))
 
 
 @register_batch_impl(_grid_cell_trial, min_trials=1)
@@ -327,7 +345,8 @@ def _grid_cell_trial_batch(
     cells, evaluator, trials, dc = args
     gen = BurstGenerator(dc)
     values: list[Any] = []
-    batched = demoted = 0
+    batched = 0
+    demotions: Counter[str] = Counter()
 
     for ctx in contexts:  # simlint: disable=SL010 -- per-cell private streams
         _i, _j, failures, racks = cells[ctx.index]
@@ -340,8 +359,10 @@ def _grid_cell_trial_batch(
         for k in range(trials):  # simlint: disable=SL010 -- sequential draws
             samples[k] = gen.sample(failures, racks)
         classified = _classify_burst_pdls(evaluator, samples)
+        reason = "undecided"
         if classified is None:
             classified = np.full(trials, np.nan)
+            reason = "no_vector_form"
         cell_demoted = False
         total = 0.0
         for k in range(trials):  # simlint: disable=SL010 -- scalar fold order
@@ -352,10 +373,10 @@ def _grid_cell_trial_batch(
             total += pdl
         values.append(total / trials)
         if cell_demoted:
-            demoted += 1
+            demotions[reason] += 1
         else:
             batched += 1
-    return values, BatchStats(batched=batched, demoted=demoted)
+    return values, BatchStats(batched, dict(demotions))
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +422,85 @@ def _record_simple_trial_metrics(
     m.counter("sim.net_repair_seconds").inc(0.0)
 
 
+#: Replacement draws requested beyond the chain's known length, per
+#: draw call.  Over-drawing is free: the trial's stream is private and
+#: dropped after the walk, and a demoted trial rebuilds its own.
+_DRAW_MARGIN = 32
+
+
+def _failure_chain(
+    times: AnyArray,
+    rng: np.random.Generator,
+    scale: float,
+    mission_time: float,
+    pool_divisor: int,
+    p_l: int,
+    repair_window: float,
+    margin: int = _DRAW_MARGIN,
+) -> tuple[AnyArray, AnyArray, str | None]:
+    """Replay a trial's disk-failure chain with array operations.
+
+    ``times`` are the initial per-disk failure times (indexed by disk).
+    Returns the processed failures' times and disks in event order plus a
+    demotion reason (``None`` when the trial is simple).  The scalar
+    event loop processes failures in ``(t, disk)`` order while
+    ``t < mission_time`` and draws one replacement per processed failure
+    (``t + rng.exponential(scale)``), so the k-th processed failure takes
+    the k-th draw of the stream: one block of draws, merged in order,
+    consumes the stream exactly as the sequential calls would.  With
+    ``margin=0`` the walk draws exactly one value per processed failure.
+
+    A trial demotes on an exact time tie between consecutive failures
+    (the scalar order then depends on queue sequence numbers) or when a
+    failure finds ``p_l`` earlier failures of its pool still inside
+    their inclusive repair window (the pool reaches its parity budget).
+    """
+    disks = np.flatnonzero(times < mission_time)
+    chain_t = times[disks]
+    order = np.argsort(chain_t, kind="stable")  # disks ascend: (t, disk)
+    chain_t, chain_d = chain_t[order], disks[order]
+    draws = rng.exponential(scale, size=len(chain_t) + margin)
+    start = 0
+    while start < len(chain_t):
+        short = len(chain_t) - len(draws)
+        if short > 0:  # the chain outgrew its block: extend the stream
+            more = rng.exponential(scale, size=short + margin)
+            draws = np.concatenate((draws, more))
+        refail = chain_t[start:] + draws[start:len(chain_t)] < mission_time
+        k = int(refail.argmax())
+        if not refail[k]:
+            break
+        k += start
+        t_next, disk = chain_t[k] + draws[k], chain_d[k]
+        at = int(np.searchsorted(chain_t, t_next, side="right"))
+        while chain_t[at - 1] == t_next and chain_d[at - 1] > disk:
+            at -= 1  # an exact tie keeps the queue's (t, disk) order
+        chain_t = np.concatenate((chain_t[:at], [t_next], chain_t[at:]))
+        chain_d = np.concatenate((chain_d[:at], [disk], chain_d[at:]))
+        start = k + 1
+
+    n = len(chain_t)
+    ties = np.flatnonzero(chain_t[1:] == chain_t[:-1]) + 1
+    first_tie = int(ties[0]) if len(ties) else n
+    first_full = n
+    if n > p_l:
+        pools = chain_d // pool_divisor
+        by_pool = np.argsort(pools, kind="stable")  # time order per pool
+        pt, pp = chain_t[by_pool], pools[by_pool]
+        full = (pp[p_l:] == pp[: n - p_l]) & (
+            pt[: n - p_l] + repair_window >= pt[p_l:]
+        )
+        if full.any():
+            first_full = int(by_pool[p_l:][full].min())
+    # The scalar walk stops at whichever complex event comes first, and
+    # checks an event for a tie before its pool's window.
+    if first_tie < n and first_tie <= first_full:
+        return chain_t, chain_d, "time_tie"
+    if first_full < n:
+        return chain_t, chain_d, "parity_window"
+    return chain_t, chain_d, None
+
+
 def simulate_batch_impl(
     fn: Callable[..., Any],
     contexts: Sequence[TrialContext],
@@ -409,13 +509,14 @@ def simulate_batch_impl(
     """Batch form of the CLI's full-system simulation trial.
 
     Replays each trial's disk-failure chain -- the only part of a plain
-    run that consumes random draws -- as a lean heap walk: the initial
-    per-disk failure times are one vectorized draw (the same call the
-    simulator makes) and each processed failure draws its replacement's
-    failure time through the same ``FailureModel`` call, so the stream
-    is consumed in the scalar order.  Failures overlapping below the
+    run that consumes random draws -- with array operations
+    (:func:`_failure_chain`): the initial per-disk failure times are one
+    vectorized draw (the same call the simulator makes), and the
+    replacement draws come as one block merged into the sorted failures,
+    so the stream is consumed in the scalar order and a mission costs
+    little more than its initial draws.  Failures overlapping below the
     parity budget are harmless -- they consume no extra draws and touch
-    no result field -- so a trial stays on this fast path until a local
+    no result field -- so a trial stays on this fast path unless a local
     pool would reach ``p_l`` *concurrent* failures (counting repair
     windows inclusively, so boundary ties demote rather than gamble on
     event order).  That is the gate to every complex state: clustered
@@ -439,59 +540,35 @@ def simulate_batch_impl(
     repair_window = sim.failures.detection_time + capacity / (
         sim._local_rate * 1.0
     )
-    p_l = scheme.params.p_l
     if scheme.local_placement is Placement.CLUSTERED:
         pool_divisor = scheme.params.n_l
     else:
         pool_divisor = scheme.dc.disks_per_enclosure
 
     values: list[Any] = []
-    batched = demoted = 0
-    # Trials advance in lockstep over their private streams; the chain
-    # walk below is the irreducible sequential part of each stream.
+    batched = 0
+    demotions: Counter[str] = Counter()
+    # Each trial's draws come from its own private stream; the per-trial
+    # loop is the stream hand-off, the chain walk itself is vectorized.
     for ctx in contexts:  # simlint: disable=SL010
         if ctx.trace is not None:
             values.append(fn(ctx, *args))
-            demoted += 1
+            demotions["traced"] += 1
             continue
         # Same derivation the scalar trial feeds `sim.run(seed=...)`:
         # replaying its stream verbatim is the whole point here.
         rng = np.random.default_rng(base_seed + ctx.index)  # simlint: disable=SL002
         times = rng.exponential(scale, size=total_disks)  # simlint: disable=SL002
-        heap = [
-            (float(times[d]), int(d))
-            for d in np.nonzero(times <= mission_time)[0]
-        ]
-        heapq.heapify(heap)
-        n_failures = 0
-        repair_ends: dict[int, list[float]] = {}
-        prev_time = -1.0
-        complex_trial = False
-        while heap:
-            t, disk = heapq.heappop(heap)
-            if t >= mission_time:
-                break  # END_OF_MISSION outranks an equal-time failure
-            if t == prev_time:
-                complex_trial = True  # exact tie: event order is seq-driven
-                break
-            prev_time = t
-            pool = disk // pool_divisor
-            active = [e for e in repair_ends.get(pool, ()) if e >= t]
-            if len(active) >= p_l:
-                complex_trial = True  # pool at its parity budget
-                break
-            n_failures += 1
-            active.append(t + repair_window)
-            repair_ends[pool] = active
-            t_next = model.time_to_failure(rng, disk, t)
-            if t_next <= mission_time:
-                heapq.heappush(heap, (t_next, disk))
-        if complex_trial:
+        chain_t, _disks, reason = _failure_chain(
+            times, rng, scale, mission_time, pool_divisor,
+            scheme.params.p_l, repair_window,
+        )
+        if reason is not None:
             values.append(fn(ctx, *args))
-            demoted += 1
+            demotions[reason] += 1
             continue
-        result = _simple_trial_result(mission_time, n_failures, capacity)
+        result = _simple_trial_result(mission_time, len(chain_t), capacity)
         _record_simple_trial_metrics(ctx, result)
         values.append(result)
         batched += 1
-    return values, BatchStats(batched=batched, demoted=demoted)
+    return values, BatchStats(batched, dict(demotions))

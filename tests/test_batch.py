@@ -20,6 +20,7 @@ from repro.runtime import TrialExecutionError, TrialRunner
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
     BATCH_MIN_TRIALS,
+    _failure_chain,
     batch_impl_for,
     register_batch_impl,
     resolve_batch_mode,
@@ -52,6 +53,17 @@ def batch_counters(runner):
         int(counters.get("sim.batch_trials", 0)),
         int(counters.get("sim.batch_demotions", 0)),
     )
+
+
+def demotion_reasons(runner):
+    """Per-reason demotion counters, keyed by reason."""
+    prefix = "sim.batch_demotions."
+    counters = runner.ops_metrics.snapshot()["counters"]
+    return {
+        name[len(prefix):]: int(value)
+        for name, value in counters.items()
+        if name.startswith(prefix)
+    }
 
 
 class TestResolveBatchMode:
@@ -126,6 +138,7 @@ class TestBurstIdentity:
         batched, demoted = batch_counters(sides["on"][3])
         assert batched == 0
         assert demoted == 40
+        assert demotion_reasons(sides["on"][3]) == {"no_vector_form": 40}
 
     def test_undecided_mlec_trials_demote(self):
         """D/D at 60/3 mixes guaranteed zeros with demoted loss trials."""
@@ -133,6 +146,7 @@ class TestBurstIdentity:
         batched, demoted = batch_counters(sides["on"][3])
         assert batched + demoted == 40
         assert demoted > 0  # loss-exposed trials need the scalar evaluator
+        assert demotion_reasons(sides["on"][3]) == {"undecided": demoted}
         assert sides["on"][0].losses > 0
 
     def test_demoted_bursts_are_drawn_once(self, monkeypatch):
@@ -195,11 +209,11 @@ class TestGridIdentity:
 
 
 def simulate_case(scheme_name, afr, mission_time, trials, *, mode,
-                  workers=1, trace=None):
+                  workers=1, trace=None, params=PARAMS):
     """One CLI-equivalent simulate sweep; returns (results, metrics, runner)."""
     from repro.cli import _simulate_trial
 
-    scheme = mlec_scheme_from_name(scheme_name, PARAMS)
+    scheme = mlec_scheme_from_name(scheme_name, params)
     runner = TrialRunner(workers=workers, batch=mode)
     metrics = MetricsRegistry()
     results = runner.map(
@@ -267,6 +281,184 @@ class TestSimulateIdentity:
         assert m1 == m2
 
 
+class TestSimulateVectorWalk:
+    """The vectorized failure-chain walk against the scalar event loop."""
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_matches_scalar_across_codes_rates_and_missions(self, name):
+        batched = demoted = 0
+        for params in (PARAMS, MLECParams(4, 1, 5, 1)):
+            for afr in (0.01, 0.2):
+                for months in (1, 6):
+                    case = (name, afr, months / 12 * YEAR, 3)
+                    on, on_metrics, runner = simulate_case(
+                        *case, mode="on", params=params)
+                    off, off_metrics, _ = simulate_case(
+                        *case, mode="off", params=params)
+                    assert on == off, (params, afr, months)
+                    assert on_metrics == off_metrics, (params, afr, months)
+                    b, d = batch_counters(runner)
+                    batched += b
+                    demoted += d
+        # Both paths ran: nominal rates stay vectorized, while 4+1/5+1
+        # at AFR 0.2 overlaps repairs past the parity budget and demotes.
+        assert batched > 0
+        assert demoted > 0
+
+
+class ScriptedDraws:
+    """A generator stand-in handing out a fixed sequence of draws.
+
+    Past the script it returns a draw far beyond any mission, so
+    unscripted replacements never fail again.  ``drawn`` counts every
+    value handed out, i.e. how far a real stream would have advanced.
+    """
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.drawn = 0
+
+    def exponential(self, scale, size):
+        out = self.draws[self.drawn:self.drawn + size]
+        out += [1e9] * (size - len(out))
+        self.drawn += size
+        return np.array(out)
+
+
+def walk(times, draws=(), *, mission=10.0, divisor=1, p_l=3, window=0.5,
+         margin=0):
+    """Walk handcrafted initial times: ``(times, disks, reason, drawn)``."""
+    rng = ScriptedDraws(draws)
+    chain_t, chain_d, reason = _failure_chain(
+        np.array(times, dtype=float), rng, 1.0, mission, divisor, p_l,
+        window, margin=margin,
+    )
+    return chain_t.tolist(), chain_d.tolist(), reason, rng.drawn
+
+
+class TestFailureChainEdgeCases:
+    def test_isolated_failures_stay_simple(self):
+        t, d, reason, drawn = walk([4.0, 1.0, 20.0, 2.0])
+        assert (t, d, reason) == ([1.0, 2.0, 4.0], [1, 3, 0], None)
+        assert drawn == 3  # one replacement per processed failure
+
+    def test_exact_time_tie_demotes(self):
+        assert walk([3.0, 3.0])[2] == "time_tie"
+        # A replacement landing exactly on another failure ties too.
+        assert walk([1.0, 3.0], [2.0])[2] == "time_tie"
+        # The scalar loop checks a failure for a tie before its pool's
+        # window, so a tie that also fills the pool reports the tie.
+        assert walk([3.0, 3.0], divisor=10, p_l=1)[2] == "time_tie"
+
+    def test_tied_replacement_keeps_queue_order(self):
+        # Disk 0 re-fails at 1.0 + 2.0 = 3.0, tying disk 5.  The queue
+        # pops (3.0, 0) first, and its pool is already at its budget.
+        times = [1.0, 20.0, 20.0, 20.0, 20.0, 3.0]
+        _t, d, reason, _drawn = walk(
+            times, [2.0], divisor=5, p_l=1, window=2.5)
+        assert d == [0, 0, 5]
+        assert reason == "parity_window"
+
+    def test_p_l_overlapping_failures_in_one_pool_demote(self):
+        times = [1.0, 2.0, 3.0]
+        assert walk(times, divisor=10, p_l=2, window=5.0)[2] == "parity_window"
+        # The same overlap spread over separate pools is harmless ...
+        assert walk(times, divisor=1, p_l=2, window=5.0)[2] is None
+        # ... and so is one fewer overlapping failure than the budget.
+        assert walk(times, divisor=10, p_l=3, window=5.0)[2] is None
+
+    def test_repair_window_is_inclusive(self):
+        # 1.0 + 2.0 == 3.0: the first repair still covers the second failure.
+        assert walk([1.0, 3.0], divisor=10, p_l=1, window=2.0)[2] == (
+            "parity_window")
+        assert walk([1.0, 3.0], divisor=10, p_l=1, window=1.5)[2] is None
+
+    def test_failure_at_mission_end_is_not_processed(self):
+        t, d, reason, drawn = walk([2.0, 10.0])
+        assert (t, d, reason, drawn) == ([2.0], [0], None, 1)
+        # A replacement due exactly at the mission end is not processed
+        # either, and so draws no replacement of its own.
+        t, d, reason, drawn = walk([2.0], [8.0])
+        assert (t, d, reason, drawn) == ([2.0], [0], None, 1)
+
+    def test_refailure_is_processed_in_time_order(self):
+        # Disk 0 fails at 1.0 and again at 1.0 + 2.0 = 3.0, before disk 1
+        # at 5.0, so the second draw (0.5) belongs to that re-failure.
+        t, d, reason, drawn = walk([1.0, 5.0], [2.0, 0.5])
+        assert (t, d, reason) == ([1.0, 3.0, 3.5, 5.0], [0, 0, 0, 1], None)
+        assert drawn == 4
+
+    def test_outgrown_draw_block_matches_sequential_scalar_draws(self):
+        mission, scale = 60.0, 1.5
+        initial = np.random.default_rng(4).exponential(scale, size=3)
+        # The scalar event loop: pop (t, disk), draw its replacement.
+        scalar = np.random.default_rng(9)
+        pending = sorted((float(t), disk) for disk, t in enumerate(initial))
+        expected = []
+        while pending and pending[0][0] < mission:
+            t, disk = pending.pop(0)
+            expected.append((t, disk))
+            t_next = t + scalar.exponential(scale)
+            if t_next <= mission:
+                pending = sorted(pending + [(t_next, disk)])
+        assert len(expected) > 40  # far past the first block of 3 + 4
+
+        rng = CountingDraws(np.random.default_rng(9))
+        chain_t, chain_d, reason = _failure_chain(
+            initial, rng, scale, mission, 1, 3, 0.0, margin=4)
+        assert reason is None
+        assert len(rng.calls) > 1  # the extension path ran
+        assert list(zip(chain_t.tolist(), chain_d.tolist())) == expected
+
+        # Without a margin the walk consumes exactly the scalar stream.
+        rng = np.random.default_rng(9)
+        _failure_chain(initial, rng, scale, mission, 1, 3, 0.0, margin=0)
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+class CountingDraws:
+    """Wraps a generator, recording the size of every exponential draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def exponential(self, scale, size):
+        self.calls.append(size)
+        return self.rng.exponential(scale, size=size)
+
+
+class TestCliSimulateIdentity:
+    """Untraced ``mlec-sim simulate``: the vector path equals scalar."""
+
+    def test_stdout_and_metrics_identical_across_batch_and_workers(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        outputs = set()
+        metrics = set()
+        for batch in ("on", "off"):
+            for workers in (1, 2):
+                path = tmp_path / f"{batch}{workers}.json"
+                code = main([
+                    "simulate", "C/D", "--months", "3", "--trials", "32",
+                    "--seed", "11", "--batch", batch,
+                    "--workers", str(workers), "--metrics", str(path),
+                ])
+                assert code == 0
+                out = capsys.readouterr().out.replace(str(path), "FILE")
+                # The elapsed line is wall-clock; everything else is
+                # a pure function of the arguments.
+                outputs.add("\n".join(
+                    line for line in out.splitlines()
+                    if "elapsed" not in line
+                ))
+                metrics.add(path.read_bytes())
+        assert len(outputs) == 1
+        assert len(metrics) == 1
+
+
 def _always_zero(ctx):
     return 0.0
 
@@ -305,3 +497,21 @@ class TestOpsTelemetrySegregation:
         assert not any(k.startswith("sim.batch") for k in result_counters)
         batched, demoted = batch_counters(runner)
         assert batched + demoted == 20
+
+    def test_demotion_reasons_sum_and_stay_out_of_results(self):
+        from repro.cli import _simulate_trial
+
+        runner = TrialRunner(batch="on")
+        metrics = MetricsRegistry()
+        scheme = mlec_scheme_from_name("C/C", MLECParams(4, 1, 5, 1))
+        runner.map(_simulate_trial, 4, seed=2,
+                   args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12, 2),
+                   metrics=metrics, trace=TraceRecorder())
+        burst_pdl_stats(mlec_evaluator("D/D"), 60, 3, trials=20, seed=1,
+                        runner=runner, metrics=metrics)
+        result_counters = metrics.snapshot()["counters"]
+        assert not any(k.startswith("sim.batch") for k in result_counters)
+        reasons = demotion_reasons(runner)
+        assert reasons["traced"] == 4  # traced trials always demote
+        assert set(reasons) == {"traced", "undecided"}
+        assert sum(reasons.values()) == batch_counters(runner)[1]
