@@ -18,10 +18,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..core.arrays import FloatArray
 from ..core.config import DatacenterConfig
 from ..obs import TraceRecorder
 from ..sim.events import EventQueue, EventType
-from ..sim.failures import ExponentialFailures, FailureModel
+from ..sim.failures import (
+    ExponentialFailures,
+    FailureModel,
+    initial_failure_times,
+)
 from .events import (
     BandwidthDegradation,
     EnclosureOutage,
@@ -126,6 +131,17 @@ class FaultInjector:
             if first <= disk_id < end and when > in_service_since:
                 t = min(t, when)
         return t
+
+    def initial_times(self, rng: np.random.Generator, n: int) -> FloatArray:
+        """:meth:`time_to_failure` for disks ``0..n-1`` at time 0, as one
+        block: the base model's initial times, each permanent outage's
+        disk range clipped to the outage time (an outage at time 0 kills
+        no disk that is not yet in service)."""
+        times = initial_failure_times(self.base, rng, n)
+        for first, end, when in self._permanent:
+            if when > 0:
+                np.minimum(times[first:end], when, out=times[first:end])
+        return times
 
     # ------------------------------------------------------------------
     # Queue-level scheduling

@@ -19,11 +19,16 @@ injected:
   damage (idle pools must be evicted), pool ids are within the topology,
   and per-pool offline counts agree with the global offline-disk set.
 
+The whole pool table is audited after every event, in one pass over its
+live pools.
+
 A violated invariant raises :class:`InvariantViolation` (``strict=True``,
 the default) or is recorded in :attr:`InvariantChecker.violations`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..sim.events import Event, EventType
 from ..sim.simulator import MLECSystemSimulator, _RunState
@@ -74,24 +79,67 @@ class InvariantChecker:
             )
         self._last_time = max(self._last_time, t)
 
-        self._check_non_negative(event, st)
+        damage, table, offline_total = self._check_pools(event, st)
+        self._check_non_negative(event, st, damage)
         self._check_byte_conservation(event, st)
         self._check_latent_conservation(event, st)
-        self._check_pool_table(event, st)
+        self._check_pool_table(st, table, offline_total)
 
     # ------------------------------------------------------------------
-    def _check_non_negative(self, event: Event, st: _RunState) -> None:
-        for pool_id, state in st.pools.items():
-            if state.failed < 0 or state.offline < 0:
-                self._fail(
+    def _check_pools(
+        self, event: Event, st: _RunState
+    ) -> tuple[list[str], list[str], int]:
+        """Audit every live pool in one pass over the pool table.
+
+        Returns the damage messages (negative counts or work), the table
+        messages (out-of-range id, orphaned idle pool) and the pools'
+        offline total; the caller emits each group where it always stood
+        in the check order.  Negative work is found with one comparison
+        over all work rows joined end to end (a NaN entry is not negative,
+        exactly as in a per-row ``(work < -1e-9).any()``); only when that
+        finds one are the rows compared one by one to name the pools.
+        """
+        damage: list[str] = []
+        table: list[str] = []
+        pools = st.pools
+        if not pools:
+            return damage, table, 0
+        works = [state.work for state in pools.values()]
+        if (np.concatenate(works) < -1e-9).any():
+            negative = [bool((work < -1e-9).any()) for work in works]
+        else:
+            negative = [False] * len(works)
+        total_pools = self._total_pools
+        offline_total = 0
+        for (pool_id, state), neg in zip(pools.items(), negative):
+            failed = state.failed
+            offline = state.offline
+            offline_total += offline
+            if failed < 0 or offline < 0:
+                damage.append(
                     f"pool {pool_id} has negative damage after {event.kind}: "
-                    f"failed={state.failed} offline={state.offline}"
+                    f"failed={failed} offline={offline}"
                 )
-            if (state.work < -1e-9).any():
-                self._fail(
+            if neg:
+                damage.append(
                     f"pool {pool_id} has negative outstanding work "
                     f"after {event.kind}: {state.work.tolist()}"
                 )
+            if not 0 <= pool_id < total_pools:
+                table.append(f"pool id {pool_id} outside topology")
+            # The scalar test first: only an undamaged pool can be idle.
+            if failed == 0 and offline == 0 and state.is_idle():
+                table.append(
+                    f"orphaned idle pool {pool_id} left in the pool table "
+                    f"after {event.kind}"
+                )
+        return damage, table, offline_total
+
+    def _check_non_negative(
+        self, event: Event, st: _RunState, pool_messages: list[str]
+    ) -> None:
+        for message in pool_messages:
+            self._fail(message)
         for pool_id, rep in st.net_repairs.items():
             if rep.remaining < -1e-6:
                 self._fail(
@@ -155,22 +203,17 @@ class InvariantChecker:
                 f"!= {st.n_sector_errors} injected"
             )
 
-    def _check_pool_table(self, event: Event, st: _RunState) -> None:
-        for pool_id, state in st.pools.items():
-            if not 0 <= pool_id < self._total_pools:
-                self._fail(f"pool id {pool_id} outside topology")
-            if state.is_idle():
-                self._fail(
-                    f"orphaned idle pool {pool_id} left in the pool table "
-                    f"after {event.kind}"
-                )
+    def _check_pool_table(
+        self, st: _RunState, pool_messages: list[str], offline_total: int
+    ) -> None:
+        for message in pool_messages:
+            self._fail(message)
         for pool_id in st.net_repairs:
             if not 0 <= pool_id < self._total_pools:
                 self._fail(f"network repair for out-of-range pool {pool_id}")
         for pool_id in st.latent:
             if not 0 <= pool_id < self._total_pools:
                 self._fail(f"latent errors on out-of-range pool {pool_id}")
-        offline_total = sum(state.offline for state in st.pools.values())
         if offline_total != len(st.offline_since):
             self._fail(
                 f"offline bookkeeping out of sync: pools say {offline_total}, "

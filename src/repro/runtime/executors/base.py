@@ -87,14 +87,15 @@ class ChunkPayload:
 
     ``batch`` is ``(batched, demoted)`` trial counts from the batch
     engine (``(0, 0)`` for a scalar chunk) and ``batch_demotions`` splits
-    ``demoted`` by reason; ``batch_fallback`` is true when a
-    ``batch="auto"`` attempt raised and the chunk re-ran scalar.
+    ``demoted`` by reason; ``batch_fallback_error`` names the exception
+    type when a ``batch="auto"`` attempt raised and the chunk re-ran
+    scalar (``None`` otherwise).
     ``host`` is the :func:`worker_label` of wherever the chunk executed
     -- purely operational attribution for the runner's attempt spans,
     never part of result artifacts.  Payloads unpickled from journals
     written before these fields existed lack the attribute entirely;
     readers go through ``getattr(payload, "batch", (0, 0))`` /
-    ``getattr(payload, "batch_fallback", False)`` /
+    ``getattr(payload, "batch_fallback_error", None)`` /
     ``getattr(payload, "batch_demotions", {})`` /
     ``getattr(payload, "host", None)``.
     """
@@ -105,7 +106,7 @@ class ChunkPayload:
     records: list[dict[str, Any]]
     batch: tuple[int, int] = (0, 0)
     host: str | None = None
-    batch_fallback: bool = False
+    batch_fallback_error: str | None = None
     batch_demotions: dict[str, int] = dataclasses.field(default_factory=dict)
 
 
@@ -150,14 +151,15 @@ def run_chunk(
     engine for trial functions that have one registered
     (:mod:`repro.sim.batch`).  The batch attempt is all-or-nothing.
     Under ``"auto"`` an error discards its partial state and the chunk
-    re-runs through this scalar loop (flagged ``batch_fallback`` so the
-    runner counts it), keeping the scalar failure semantics: a
-    :class:`ChunkFailure` naming the exact trial.  Under ``"on"`` the
+    re-runs through this scalar loop (with ``batch_fallback_error`` set
+    to the exception type name, so the runner counts it by type),
+    keeping the scalar failure semantics: a :class:`ChunkFailure` naming
+    the exact trial.  Under ``"on"`` the
     batch error itself is the chunk's :class:`ChunkFailure`, so a batch
     bug surfaces instead of costing only time.
     """
     began = time.perf_counter()
-    fell_back = False
+    fallback_error: str | None = None
     if batch != "off":
         try:
             batched = _run_chunk_batched(
@@ -171,7 +173,7 @@ def run_chunk(
                     message=f"batch engine: {type(exc).__name__}: {exc}",
                     worker_traceback=traceback.format_exc(),
                 )
-            batched, fell_back = None, True
+            batched, fallback_error = None, type(exc).__name__
         if batched is not None:
             return batched
     metrics = MetricsRegistry() if collect_metrics else None
@@ -196,7 +198,7 @@ def run_chunk(
         metrics=metrics,
         records=records,
         host=worker_label(),
-        batch_fallback=fell_back,
+        batch_fallback_error=fallback_error,
     )
 
 

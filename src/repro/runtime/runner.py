@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import time
 import warnings
 from collections.abc import Callable, Iterator, Sequence
@@ -245,6 +246,16 @@ _ChunkPayload = ChunkPayload
 _run_chunk = run_chunk
 
 
+def _metric_segment(type_name: str) -> str:
+    """An exception type name as one metric-name segment (lowercase
+    snake case): ``RuntimeError`` -> ``runtime_error``, ``OSError`` ->
+    ``os_error``."""
+    snake = re.sub(r"([A-Z]+)([A-Z][a-z])", r"\1_\2", type_name)
+    snake = re.sub(r"([a-z0-9])([A-Z])", r"\1_\2", snake).lower()
+    snake = re.sub(r"[^a-z0-9_]", "_", snake).lstrip("_0123456789")
+    return snake or "exception"
+
+
 class TrialRunner:
     """Fan independent Monte Carlo trials out over a process pool.
 
@@ -280,7 +291,8 @@ class TrialRunner:
         demotion is reported in :attr:`ops_metrics`
         (``sim.batch_trials`` / ``sim.batch_demotions``, split by reason
         as ``sim.batch_demotions.<reason>``), and ``auto`` fallbacks
-        as ``sim.batch_fallbacks`` (one per chunk).
+        as ``sim.batch_fallbacks`` (one per chunk), split by exception
+        type as ``sim.batch_fallbacks.<type>``.
     """
 
     def __init__(
@@ -621,8 +633,11 @@ class TrialRunner:
         Operational only -- never part of result artifacts, so batch=on
         and batch=off runs stay byte-identical.  Demotions also count
         per reason as ``sim.batch_demotions.<reason>``, summing to
-        ``sim.batch_demotions``.  ``getattr`` covers payloads unpickled
-        from checkpoint journals written before these fields existed.
+        ``sim.batch_demotions``, and fallbacks per exception type as
+        ``sim.batch_fallbacks.<type>`` (snake case: ``RuntimeError`` ->
+        ``runtime_error``), summing to ``sim.batch_fallbacks``.
+        ``getattr`` covers payloads unpickled from checkpoint journals
+        written before these fields existed.
         """
         batched, demoted = getattr(payload, "batch", (0, 0))
         if batched:
@@ -631,8 +646,12 @@ class TrialRunner:
             self.ops_metrics.counter("sim.batch_demotions").inc(demoted)
         for reason, count in getattr(payload, "batch_demotions", {}).items():
             self.ops_metrics.counter(f"sim.batch_demotions.{reason}").inc(count)
-        if getattr(payload, "batch_fallback", False):
+        error = getattr(payload, "batch_fallback_error", None)
+        if error is not None:
             self.ops_metrics.counter("sim.batch_fallbacks").inc()
+            self.ops_metrics.counter(
+                f"sim.batch_fallbacks.{_metric_segment(error)}"
+            ).inc()
 
     @staticmethod
     def _check_chunk(

@@ -68,7 +68,7 @@ from .burst import (
     _burst_trial,
     _grid_cell_trial,
 )
-from .failures import ExponentialFailures
+from .failures import ExponentialFailures, initial_failure_times
 from .simulator import MLECSystemSimulator, SystemSimResult
 
 __all__ = [
@@ -558,7 +558,7 @@ def simulate_batch_impl(
         # Same derivation the scalar trial feeds `sim.run(seed=...)`:
         # replaying its stream verbatim is the whole point here.
         rng = np.random.default_rng(base_seed + ctx.index)  # simlint: disable=SL002
-        times = rng.exponential(scale, size=total_disks)  # simlint: disable=SL002
+        times = initial_failure_times(model, rng, total_disks)
         chain_t, _disks, reason = _failure_chain(
             times, rng, scale, mission_time, pool_divisor,
             scheme.params.p_l, repair_window,

@@ -13,16 +13,25 @@ Available models:
   model: high early rate, low mid-life rate, rising wear-out rate).
 * :class:`TraceFailures` -- replays an explicit (time, disk) schedule from
   a :class:`repro.sim.traces.FailureTrace`.
+
+A model may also offer ``initial_times(rng, n)``: the failure times of
+disks ``0..n-1`` all entering service at time 0, drawn as one block that
+equals -- value for value, with the same generator state after -- ``n``
+scalar ``time_to_failure(rng, disk, 0.0)`` calls in disk order.
+:func:`initial_failure_times` is the one place the simulators draw their
+initial schedules, through that block when the model has one.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
 
+from ..core.arrays import FloatArray
 from ..core.config import YEAR
 from ..core.types import Years
 
@@ -32,6 +41,7 @@ __all__ = [
     "WeibullFailures",
     "BathtubFailures",
     "TraceFailures",
+    "initial_failure_times",
 ]
 
 
@@ -66,6 +76,11 @@ class ExponentialFailures:
     ) -> float:
         del disk_id  # identical, independent disks
         return in_service_since + rng.exponential(1.0 / self.rate)
+
+    def initial_times(self, rng: np.random.Generator, n: int) -> FloatArray:
+        """``n`` initial failure times in one draw (same doubles and
+        generator state as ``n`` scalar draws)."""
+        return rng.exponential(1.0 / self.rate, size=n)
 
 
 class WeibullFailures:
@@ -158,3 +173,24 @@ class TraceFailures:
             return math.inf
         i = bisect.bisect_right(times, in_service_since)
         return times[i] if i < len(times) else math.inf
+
+
+def initial_failure_times(
+    model: FailureModel, rng: np.random.Generator, n: int
+) -> FloatArray:
+    """Failure times of disks ``0..n-1`` entering service at time 0.
+
+    Uses the model's ``initial_times`` block when it has one; otherwise
+    makes the ``n`` scalar ``time_to_failure`` calls in disk order.  Either
+    way the stream is consumed exactly as the scalar calls would consume
+    it, so callers stay byte-identical.
+    """
+    initial_times: Callable[[np.random.Generator, int], FloatArray] | None = (
+        getattr(model, "initial_times", None)
+    )
+    if callable(initial_times):
+        return initial_times(rng, n)
+    return np.array(
+        [model.time_to_failure(rng, disk, 0.0) for disk in range(n)],
+        dtype=float,
+    )

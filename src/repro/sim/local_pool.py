@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.config import YEAR
 from .events import EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel
+from .failures import ExponentialFailures, FailureModel, initial_failure_times
 
 __all__ = ["CatastrophicSample", "PoolSimResult", "LocalPoolSimulator"]
 
@@ -137,10 +137,9 @@ class LocalPoolSimulator:
         rng = np.random.default_rng(seed)
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
-        for disk in range(self.pool_disks):
-            t = self.failure_model.time_to_failure(rng, disk, 0.0)
-            if t <= mission_time:
-                queue.push(t, EventType.DISK_FAILURE, disk)
+        times = initial_failure_times(self.failure_model, rng, self.pool_disks)
+        for disk in np.nonzero(times <= mission_time)[0]:
+            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
 
         failed = 0
         repairing = False
@@ -207,10 +206,9 @@ class LocalPoolSimulator:
         rng = np.random.default_rng(seed)
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
-        for disk in range(self.pool_disks):
-            t = self.failure_model.time_to_failure(rng, disk, 0.0)
-            if t <= mission_time:
-                queue.push(t, EventType.DISK_FAILURE, disk)
+        times = initial_failure_times(self.failure_model, rng, self.pool_disks)
+        for disk in np.nonzero(times <= mission_time)[0]:
+            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
 
         failed = 0
         # Outstanding demote work (stripes needing one chunk) per class.

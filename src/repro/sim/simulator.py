@@ -56,7 +56,7 @@ from ..obs.report import REPAIR_HOURS_BUCKETS
 from ..repair.bandwidth import BandwidthModel
 from ..topology.datacenter import DatacenterTopology
 from .events import Event, EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel
+from .failures import ExponentialFailures, FailureModel, initial_failure_times
 
 __all__ = ["DataLossEvent", "SystemSimResult", "MLECSystemSimulator"]
 
@@ -708,19 +708,12 @@ class MLECSystemSimulator:
         if callable(schedule):
             schedule(queue, mission_time)
 
-        # Initial per-disk failure schedules.  Exponential models allow a
-        # fast vectorized path; generic models fall back to the protocol.
-        if isinstance(self.failure_model, ExponentialFailures):
-            times = rng.exponential(
-                1.0 / self.failure_model.rate, size=self.topo.total_disks
-            )
-            for disk in np.nonzero(times <= mission_time)[0]:
-                queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
-        else:
-            for disk in range(self.topo.total_disks):
-                t = self.failure_model.time_to_failure(rng, disk, 0.0)
-                if t <= mission_time:
-                    queue.push(t, EventType.DISK_FAILURE, disk)
+        # Initial per-disk failure schedules, in disk order.
+        times = initial_failure_times(
+            self.failure_model, rng, self.topo.total_disks
+        )
+        for disk in np.nonzero(times <= mission_time)[0]:
+            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
 
         st = _RunState(rng, recorder=recorder, metrics=metrics)
         while True:

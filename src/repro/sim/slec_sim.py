@@ -32,7 +32,7 @@ from ..core.scheme import LRCScheme, SLECScheme
 from ..core.types import Level, Placement
 from ..obs import MetricsRegistry, TraceRecorder
 from .events import EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel
+from .failures import ExponentialFailures, FailureModel, initial_failure_times
 
 __all__ = ["SingleLevelSimResult", "SLECSystemSimulator"]
 
@@ -166,17 +166,9 @@ class SLECSystemSimulator:
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
 
-        if isinstance(self.failure_model, ExponentialFailures):
-            times = rng.exponential(
-                1.0 / self.failure_model.rate, size=dc.total_disks
-            )
-            for disk in np.nonzero(times <= mission_time)[0]:
-                queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
-        else:
-            for disk in range(dc.total_disks):
-                t = self.failure_model.time_to_failure(rng, disk, 0.0)
-                if t <= mission_time:
-                    queue.push(t, EventType.DISK_FAILURE, disk)
+        times = initial_failure_times(self.failure_model, rng, dc.total_disks)
+        for disk in np.nonzero(times <= mission_time)[0]:
+            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
 
         # Per-pool state: clustered -> count of unrepaired disks;
         # declustered -> damage-class work vector.

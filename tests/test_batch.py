@@ -17,6 +17,7 @@ from repro.core.scheme import LRCScheme, SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement, RepairMethod
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.runtime import TrialExecutionError, TrialRunner
+from repro.runtime.executors.base import ChunkPayload
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
     BATCH_MIN_TRIALS,
@@ -467,6 +468,18 @@ def _raising_impl(fn, contexts, args):
     raise RuntimeError("broken batch implementation")
 
 
+def _always_one(ctx):
+    return 1.0
+
+
+class _TornBatchError(Exception):
+    pass
+
+
+def _torn_impl(fn, contexts, args):
+    raise _TornBatchError("torn batch state")
+
+
 class TestBatchFallback:
     @pytest.fixture(autouse=True)
     def raising_registration(self, monkeypatch):
@@ -484,6 +497,30 @@ class TestBatchFallback:
         counters = runner.ops_metrics.snapshot()["counters"]
         assert counters["sim.batch_fallbacks"] == 3
         assert batch_counters(runner) == (0, 0)
+
+    def test_auto_fallbacks_count_by_exception_type(self):
+        register_batch_impl(_always_one, min_trials=1)(_torn_impl)
+        runner = TrialRunner(batch="auto", chunk_size=4)
+        metrics = MetricsRegistry()
+        assert runner.map(_always_zero, 8, seed=0, metrics=metrics) == [0.0] * 8
+        assert runner.map(_always_one, 12, seed=0, metrics=metrics) == [1.0] * 12
+        counters = runner.ops_metrics.snapshot()["counters"]
+        assert counters["sim.batch_fallbacks.runtime_error"] == 2
+        assert counters["sim.batch_fallbacks.torn_batch_error"] == 3
+        assert counters["sim.batch_fallbacks"] == 5
+        result_counters = metrics.snapshot()["counters"]
+        assert not any(k.startswith("sim.batch") for k in result_counters)
+
+    def test_payload_without_fallback_field_counts_nothing(self):
+        """A chunk payload unpickled from a journal written before the
+        field existed lacks the attribute entirely."""
+        payload = ChunkPayload(values=[0.0], seconds=0.0, metrics=None,
+                               records=[])
+        object.__delattr__(payload, "batch_fallback_error")
+        runner = TrialRunner()
+        runner._absorb_batch_stats(payload)
+        counters = runner.ops_metrics.snapshot()["counters"]
+        assert not any(k.startswith("sim.batch") for k in counters)
 
 
 class TestOpsTelemetrySegregation:

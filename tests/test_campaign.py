@@ -1,5 +1,7 @@
 """Chaos campaigns: robustness report, invariants, scheme ordering."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -145,3 +147,33 @@ class TestChaosCLI:
         assert main(["chaos", "--scenario", "meteor-strike"]) == 2
         err = capsys.readouterr().err
         assert "meteor-strike" in err
+
+
+class TestGoldenArtifacts:
+    """Byte pins of a small campaign: every event is still audited and the
+    results are unchanged by work on the checker or the initial draws."""
+
+    REPORT_SHA256 = (
+        "d91efe772df9eb9d403659562a2b16bd74958115fb5ef232864377a7cdd1633b"
+    )
+    TRACE_SHA256 = (
+        "bb066b5b83555979650a7416af05edd42810e2ab45abf7bf3d9208d39af04f5c"
+    )
+
+    def test_report_and_audit_counts_are_pinned(self):
+        report = ChaosCampaign(trials=2).run(seed=7)
+        assert report.total_events_checked == 19_037
+        assert report.total_invariant_violations == 0
+        blob = (
+            f"{report.to_text()}\n{report.total_events_checked}\n"
+            f"{report.total_invariant_violations}\n"
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.REPORT_SHA256
+
+    def test_cli_trace_bytes_are_pinned(self, tmp_path, capsys):
+        path = tmp_path / "chaos.jsonl"
+        assert main(["chaos", "--trials", "2", "--seed", "7",
+                     "--trace", str(path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.TRACE_SHA256

@@ -20,8 +20,13 @@ from repro.faults import (
     chaos_datacenter,
 )
 from repro.sim.events import Event, EventQueue, EventType
-from repro.sim.failures import ExponentialFailures, TraceFailures
-from repro.sim.simulator import MLECSystemSimulator
+from repro.sim.failures import (
+    ExponentialFailures,
+    TraceFailures,
+    WeibullFailures,
+    initial_failure_times,
+)
+from repro.sim.simulator import MLECSystemSimulator, _PoolState
 
 DC = chaos_datacenter()
 
@@ -133,6 +138,77 @@ class TestFaultInjector:
         queue = EventQueue()
         inj.schedule(queue, mission_time=1000.0)
         assert len(queue) == 0
+
+
+def _scalar_initial_times(model, rng, n):
+    return np.array([model.time_to_failure(rng, d, 0.0) for d in range(n)])
+
+
+class TestInitialTimes:
+    """``initial_times`` is the scalar ``time_to_failure`` loop as one
+    block: the same doubles, bit for bit, and the same generator state."""
+
+    def _assert_block_matches_scalar(self, model, seed=5):
+        n = DC.total_disks
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        block = initial_failure_times(model, block_rng, n)
+        scalar = _scalar_initial_times(model, scalar_rng, n)
+        assert block.dtype == np.float64 and block.shape == (n,)
+        assert block.tobytes() == scalar.tobytes()
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+        return block
+
+    def test_exponential(self):
+        self._assert_block_matches_scalar(ExponentialFailures(0.3))
+
+    def test_injector_clips_permanent_outages_after_time_zero(self):
+        injector = FaultInjector(
+            base=ExponentialFailures(0.5),
+            faults=(
+                RackOutage(time=2 * DAY, rack=1),
+                RackOutage(time=3 * DAY, rack=1),  # overlapping, later
+                EnclosureOutage(time=DAY, rack=3, enclosure=0),
+                RackOutage(time=DAY, rack=5, duration=HOUR),  # transient
+            ),
+            dc=DC,
+        )
+        block = self._assert_block_matches_scalar(injector)
+        per_rack = DC.disks_per_rack
+        rack1 = block[per_rack:2 * per_rack]
+        assert (rack1 <= 2 * DAY).all() and (rack1 == 2 * DAY).sum() > 100
+        rack3 = block[3 * per_rack:4 * per_rack]
+        assert (rack3 <= DAY).all() and (rack3 == DAY).sum() > 100
+        assert not (block[5 * per_rack:6 * per_rack] == DAY).any()
+
+    def test_injector_outage_at_time_zero_does_not_clip(self):
+        injector = FaultInjector(
+            base=ExponentialFailures(0.5),
+            faults=(RackOutage(time=0.0, rack=2),),
+            dc=DC,
+        )
+        block = self._assert_block_matches_scalar(injector)
+        base = ExponentialFailures(0.5).initial_times(
+            np.random.default_rng(5), DC.total_disks
+        )
+        assert block.tobytes() == base.tobytes()
+
+    def test_injector_over_base_without_vector_form(self):
+        base = WeibullFailures(shape=0.7, scale_years=2.0)
+        assert not hasattr(base, "initial_times")
+        injector = FaultInjector(
+            base=base, faults=(RackOutage(time=DAY, rack=0),), dc=DC
+        )
+        block = self._assert_block_matches_scalar(injector)
+        assert (block[:DC.disks_per_rack] <= DAY).all()
+        self._assert_block_matches_scalar(base)
+
+    def test_trace_model_keeps_never_failing_disks_infinite(self):
+        block = self._assert_block_matches_scalar(
+            TraceFailures([(5.0, 1), (7.0, 1), (9.0, 3)])
+        )
+        assert block[1] == 5.0 and block[3] == 9.0
+        assert np.isinf(block[0])
 
 
 class TestTransientOutage:
@@ -288,6 +364,62 @@ class TestInvariantChecker:
         st.pools[0].is_idle = lambda: True
         checker(self._event(), st)
         assert any("orphaned idle pool" in v for v in checker.violations)
+
+    def test_one_pool_walk_reports_every_class_in_order(self):
+        """Violations in non-first pools, of every class the pool-table
+        walk audits, come out with the exact text and order they always
+        had -- interleaved with the byte and latent checks."""
+        sim = simulator()
+        total = sim.scheme.total_local_pools
+
+        def pool(failed=0, offline=0, work=(0.0, 0.0, 0.0, 0.0)):
+            state = _PoolState(3)
+            state.failed, state.offline = failed, offline
+            state.work = np.array(work)
+            return state
+
+        pools = {
+            0: pool(failed=1),
+            1: pool(failed=-1),
+            2: pool(failed=1, work=(np.nan, -1.0, 0.0, 0.0)),
+            3: pool(work=(np.nan, 0.0, 0.0, 0.0)),  # NaN: busy, not negative
+            total + 7: pool(failed=1),
+            5: pool(),
+            6: pool(offline=2),
+        }
+        expected = [
+            "pool 1 has negative damage after EventType.DISK_FAILURE: "
+            "failed=-1 offline=0",
+            "pool 2 has negative outstanding work after "
+            "EventType.DISK_FAILURE: [nan, -1.0, 0.0, 0.0]",
+            "local repair bytes 123.0 != 1 failures x disk capacity",
+            f"pool id {total + 7} outside topology",
+            "orphaned idle pool 5 left in the pool table after "
+            "EventType.DISK_FAILURE",
+            f"latent errors on out-of-range pool {total + 2}",
+            "offline bookkeeping out of sync: pools say 2, "
+            "disk table says 0",
+        ]
+
+        def state():
+            return _fake_state(
+                pools=pools, local_bytes=123.0, latent={total + 2: 0}
+            )
+
+        checker = InvariantChecker(sim, strict=False)
+        checker(self._event(), state())
+        assert checker.violations == expected
+
+        strict = InvariantChecker(sim, strict=True)
+        with pytest.raises(InvariantViolation) as info:
+            strict(self._event(), state())
+        assert str(info.value) == expected[0]
+
+    def test_empty_pool_table_passes(self):
+        checker = InvariantChecker(simulator(), strict=True)
+        checker(self._event(), _fake_state(pools={}, n_failures=0,
+                                           local_bytes=0.0))
+        assert checker.ok
 
     def test_accelerated_chaos_run_upholds_all_invariants(self):
         """End-to-end: every event of a fault-heavy accelerated run passes

@@ -668,12 +668,47 @@ def _daemon_env():
 
 
 def _start_daemon(state_dir):
+    # Its own session: the daemon leads a process group holding its pool
+    # children, so the whole tree can be reaped after a kill -9.
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--state-dir", str(state_dir), "--port", "0", "--workers", "2"],
         env=_daemon_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
+
+
+def _group_members(pgid):
+    """Live (non-zombie) pids in process group ``pgid``, read from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # After the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _kill_group(proc):
+    """SIGKILL whatever is left of a daemon's process group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _group_survivors(pgid, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while (members := _group_members(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return members
 
 
 def _wait_endpoint(state_dir, proc, timeout=60.0):
@@ -737,6 +772,8 @@ class TestCrashRecovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            _kill_group(proc)  # the pool children the kill -9 orphaned
+        assert _group_survivors(proc.pid) == []
 
         # Restart on the same state dir: the job must recover and finish.
         proc2 = _start_daemon(state)
@@ -770,6 +807,8 @@ class TestCrashRecovery:
             if proc2.poll() is None:
                 proc2.kill()
                 proc2.wait(timeout=30)
+            _kill_group(proc2)
+        assert _group_survivors(proc2.pid) == []
 
         resumed = (state / "jobs" / jid / "result.json").read_bytes()
 
