@@ -44,11 +44,9 @@ from .core.scheme import MLEC_SCHEME_NAMES, MLECScheme, mlec_scheme_from_name
 from .core.tolerance import mlec_tolerance
 from .core.types import RepairMethod
 from .obs import MetricsRegistry, Stopwatch, TraceRecorder
-from .sim.batch import register_batch_impl, simulate_batch_impl
 
 if TYPE_CHECKING:
-    from .runtime import TrialContext, TrialRunner
-    from .sim.simulator import SystemSimResult
+    from .runtime import ResilientRunner, TrialRunner
 
 __all__ = ["main", "parse_mlec_code"]
 
@@ -134,7 +132,7 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_runner(args: argparse.Namespace) -> TrialRunner:
+def _make_runner(args: argparse.Namespace) -> ResilientRunner:
     """Build the trial runner for a Monte-Carlo subcommand.
 
     Always a :class:`~repro.runtime.ResilientRunner` -- retry and salvage
@@ -177,13 +175,9 @@ def _make_runner(args: argparse.Namespace) -> TrialRunner:
     )
 
 
-def _report_recovery(runner: TrialRunner) -> None:
+def _report_recovery(runner: ResilientRunner) -> None:
     """Close the journal and surface recovery facts (stderr, not stdout:
     stdout stays byte-identical between interrupted and clean runs)."""
-    from .runtime import ResilientRunner
-
-    if not isinstance(runner, ResilientRunner):
-        return
     runner.close()
     if runner.backend is not None:
         runner.backend.shutdown()
@@ -451,35 +445,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_trial(
-    ctx: TrialContext,
-    scheme: MLECScheme,
-    method: RepairMethod,
-    afr: float,
-    mission_time: float,
-    base_seed: int,
-) -> SystemSimResult:
-    """One full-system simulation trial (module-level for pickling)."""
-    from .sim.failures import ExponentialFailures
-    from .sim.simulator import MLECSystemSimulator
-
-    sim = MLECSystemSimulator(
-        scheme, method, failure_model=ExponentialFailures(afr)
-    )
-    return sim.run(
-        mission_time=mission_time,
-        seed=base_seed + ctx.index,
-        recorder=ctx.trace,
-        metrics=ctx.metrics,
-    )
-
-
-# Module level, not lazy: workers unpickle _simulate_trial by importing
-# this module, so the registration always precedes any registry lookup.
-register_batch_impl(_simulate_trial)(simulate_batch_impl)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim.batch import simulate_trial
+
     scheme = _scheme_from(args)
     method = RepairMethod(args.method)
     mission_time = args.months / 12 * YEAR
@@ -494,7 +462,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     watch = Stopwatch()
     try:
         results = runner.map(
-            _simulate_trial, args.trials, seed=args.seed,
+            simulate_trial, args.trials, seed=args.seed,
             args=(scheme, method, args.afr, mission_time, args.seed),
             metrics=metrics, trace=trace,
         )

@@ -2,10 +2,11 @@
 
 The paper's evaluation is Monte Carlo end to end; this package provides
 the shared trial engine (:class:`TrialRunner`) that the burst grids,
-durability campaigns, and chaos sweeps all fan out through, plus the
-fault-tolerant wrapper (:class:`ResilientRunner`) that journals chunk
-results to a resumable checkpoint and retries crashed workers under a
-deterministic :class:`RetryPolicy`.
+durability campaigns, and chaos sweeps all fan out through.  It holds
+the one chunk scheduler: a plain :class:`TrialRunner` gives each chunk
+one attempt and keeps no journal, and :class:`ResilientRunner` runs the
+same scheduler with a checkpoint journal (resume) and a wider
+deterministic :class:`RetryPolicy` budget.
 
 *Where* chunks run is pluggable: the :mod:`~repro.runtime.executors`
 package defines the :class:`ChunkExecutor` protocol with a single-host
@@ -28,17 +29,17 @@ from .resilience import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
     ResilientRunner,
-    RetryPolicy,
-    SweepStopped,
-    args_digest,
     read_checkpoint_argv,
 )
 from .runner import (
+    RetryPolicy,
     RunTelemetry,
+    SweepStopped,
     TrialAggregate,
     TrialContext,
     TrialExecutionError,
     TrialRunner,
+    args_digest,
 )
 
 __all__ = [

@@ -1,27 +1,32 @@
 """Fault-tolerant campaign execution: checkpoint/resume, retry, salvage.
 
 The headline figures of the paper come from Monte Carlo campaigns that
-run for hours at realistic trial counts, and the plain
-:class:`~repro.runtime.TrialRunner` is all-or-nothing: one OOM-killed
-worker, one flaky trial, or one Ctrl-C discards the whole sweep.  Real
+run for hours at realistic trial counts.  A plain
+:class:`~repro.runtime.TrialRunner` gives each chunk one attempt and
+keeps nothing on disk: one OOM-killed worker, one flaky trial, or one
+Ctrl-C ends the sweep with only its salvaged prefix.  Real
 erasure-coded storage systems treat recovery-under-failure as the normal
-operating mode, and the harness that simulates them should too.  This
-module wraps the runner in exactly that machinery:
+operating mode, and the harness that simulates them should too.
+:class:`ResilientRunner` runs the same scheduler (dispatch, retry,
+watchdog, pool rebuild, in-order fold all live in
+:mod:`repro.runtime.runner`) and adds only what differs:
 
 * **Checkpointing.**  Completed chunk results are journaled to a
   WAL-style JSONL file as they arrive (schema-versioned, one fsynced
   record per line, following the :mod:`repro.obs.trace` serialization
   conventions).  A crash at any instant leaves at worst one torn final
   line, which recovery drops; every earlier chunk is durable.
-* **Retry with backoff.**  Failed or crashed chunks are retried under a
-  :class:`RetryPolicy` -- exponential backoff with *deterministic*
+* **Retry with backoff.**  A wider :class:`RetryPolicy` budget (three
+  attempts by default) and an optional per-chunk watchdog
+  (``chunk_timeout``) -- exponential backoff with *deterministic*
   per-attempt jitter derived from the chunk index, never from a wall
   clock or fresh RNG.  A ``BrokenProcessPool`` tears the executor down,
   rebuilds it, and reschedules only the chunk ranges still missing;
   completed chunks are never re-run.
 * **Salvage + resume.**  On unrecoverable failure the raised
-  :class:`~repro.runtime.TrialExecutionError` carries the partial
-  results, and ``mlec-sim resume <checkpoint>`` re-executes the original
+  :class:`~repro.runtime.TrialExecutionError` carries the completed
+  trial-order prefix, the journal keeps every completed chunk, and
+  ``mlec-sim resume <checkpoint>`` re-executes the original
   command with the journal preloaded.  Because trial ``i`` always owns
   the ``i``-th spawned ``SeedSequence`` and results are folded in chunk
   order *after* execution, a resumed sweep is bitwise identical to an
@@ -49,35 +54,24 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import hashlib
 import json
 import os
 import pickle
-import threading
 import time
-import warnings
-from collections import deque
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Mapping, Sequence
 from multiprocessing.context import BaseContext
 from pathlib import Path
 from typing import Any, TextIO
 
-import numpy as np
-
 from ..core.atomic import fsync_dir
-from ..obs import MetricsRegistry, TraceRecorder
-from .executors.base import BackendUnavailable, ChunkExecutor, ChunkJob
-from .executors.local import LocalProcessBackend
+from .executors.base import ChunkExecutor
 from .runner import (
-    RunTelemetry,
-    TrialAggregate,
-    TrialExecutionError,
+    RetryPolicy,
+    SweepStopped,
     TrialRunner,
-    _ChunkError,
+    _Bounds,
     _ChunkPayload,
-    _run_chunk,
+    args_digest,
 )
 
 __all__ = [
@@ -95,70 +89,9 @@ __all__ = [
 #: the record shapes below so old journals fail loudly instead of subtly.
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_Bounds = tuple[int, int]
-
 
 class CheckpointError(RuntimeError):
     """A checkpoint journal is missing, corrupt, or from a different run."""
-
-
-class SweepStopped(RuntimeError):
-    """A sweep was stopped cooperatively via :meth:`ResilientRunner.request_stop`.
-
-    Not a failure: every chunk completed before the stop is journaled (when
-    a checkpoint is configured), so the sweep resumes from where it left
-    off -- this is how ``mlec-sim serve`` checkpoints running jobs during a
-    graceful drain instead of discarding their progress.
-    """
-
-
-# ----------------------------------------------------------------------
-# Retry policy
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """How hard to try before declaring a chunk unrecoverable.
-
-    ``max_attempts`` counts *total* attempts (first try included), so
-    ``max_attempts=1`` disables retries.  Backoff before attempt ``k+1``
-    is ``backoff_base * backoff_factor**(k-1)`` capped at
-    ``backoff_max``, shrunk by up to ``jitter_fraction`` using a hash of
-    ``(chunk_index, attempt)`` -- deterministic, so two runs of the same
-    failing sweep pause identically (no ``random()``-style scheduling
-    nondeterminism sneaks into the harness).
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.backoff_max < 0:
-            raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}"
-            )
-
-    def backoff_seconds(self, attempt: int, chunk_index: int) -> float:
-        """Delay before retrying ``chunk_index`` after ``attempt`` failures."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        digest = hashlib.sha256(f"{chunk_index}:{attempt}".encode()).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2**64
-        return delay * (1.0 - self.jitter_fraction * fraction)
 
 
 # ----------------------------------------------------------------------
@@ -195,20 +128,6 @@ def _decode_payload(text: str, where: str) -> _ChunkPayload:
             "not a chunk result"
         )
     return obj
-
-
-def args_digest(args: tuple[Any, ...]) -> str:
-    """Stable fingerprint of a sweep's args tuple for resume validation.
-
-    The same digest keys the ``mlec-sim serve`` dedupe cache: two sweep
-    submissions with identical ``(fn, args, trials, seed)`` hash to the
-    same journal header and therefore the same cache entry.
-    """
-    try:
-        blob = pickle.dumps(args, protocol=4)
-    except Exception:
-        blob = repr(args).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclasses.dataclass
@@ -377,8 +296,10 @@ class JournalWriter:
 class ResilientRunner(TrialRunner):
     """A :class:`TrialRunner` that survives crashes, retries, and resumes.
 
-    Drop-in compatible with every campaign entry point that accepts a
-    runner (``burst_pdl_stats`` / ``burst_pdl_grid``,
+    The scheduler is :class:`TrialRunner`'s; this class adds a
+    checkpoint journal, a retry budget (``policy``), and a per-chunk
+    watchdog (``chunk_timeout``).  Drop-in compatible with every
+    campaign entry point that accepts a runner (``burst_pdl_stats`` / ``burst_pdl_grid``,
     ``stage1_pool_rate``, :class:`~repro.faults.ChaosCampaign`, the CLI
     subcommands): :meth:`run` and :meth:`map` keep the base signatures
     and the bitwise any-worker-count determinism contract.
@@ -430,15 +351,9 @@ class ResilientRunner(TrialRunner):
         self.policy = policy if policy is not None else RetryPolicy()
         self.chunk_timeout = chunk_timeout
         self.checkpoint_path = Path(checkpoint) if checkpoint is not None else None
-        # Recovery counters/events go to the base class's ops_metrics /
-        # ops_trace sinks -- operational telemetry, kept apart from the
-        # result metrics/trace sinks, which must stay bitwise identical
-        # whether or not the sweep was ever interrupted.
         self._argv = list(argv) if argv is not None else None
         self._loaded: _LoadedCheckpoint | None = None
         self._writer: JournalWriter | None = None
-        self._sweep = -1
-        self._stop = threading.Event()
         if self.checkpoint_path is not None:
             if self.checkpoint_path.exists():
                 if not resume:
@@ -454,36 +369,16 @@ class ResilientRunner(TrialRunner):
                     f"cannot resume: no checkpoint at {self.checkpoint_path}"
                 )
 
-    # ------------------------------------------------------------------
-    # Public API (drop-in for TrialRunner)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        fn: Callable[..., Any],
-        trials: int,
-        seed: int = 0,
-        args: tuple[Any, ...] = (),
-        timeout: float | None = None,
-        metrics: MetricsRegistry | None = None,
-        trace: TraceRecorder | None = None,
-    ) -> TrialAggregate:
-        values = self._execute("run", fn, trials, seed, args, timeout, metrics, trace)
-        agg = TrialAggregate()
-        for value in values:
-            agg.add(value)
-        return agg
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        trials: int,
-        seed: int = 0,
-        args: tuple[Any, ...] = (),
-        timeout: float | None = None,
-        metrics: MetricsRegistry | None = None,
-        trace: TraceRecorder | None = None,
-    ) -> list[Any]:
-        return self._execute("map", fn, trials, seed, args, timeout, metrics, trace)
+    def _execute(self, *args: Any, **kwargs: Any) -> list[Any]:
+        try:
+            return super()._execute(*args, **kwargs)
+        finally:
+            # Chunks journaled so far are durable (each append is
+            # fsynced).  Close the journal whether the sweep completed,
+            # failed, or was interrupted: library callers must not leak
+            # the handle across sweeps, and a killed run must always be
+            # resumable.  The next sweep reopens it in append mode.
+            self.close()
 
     def close(self) -> None:
         """Flush and close the journal (safe to call repeatedly).
@@ -502,33 +397,6 @@ class ResilientRunner(TrialRunner):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def request_stop(self) -> None:
-        """Ask the running sweep to stop at the next chunk boundary.
-
-        Thread-safe and idempotent.  The sweep raises
-        :class:`SweepStopped` once every in-flight chunk has either
-        completed (and been journaled) or been abandoned; chunks are
-        never torn mid-trial, so a stopped sweep resumes byte-identically
-        from its checkpoint.  This is the graceful-drain primitive the
-        service daemon uses on SIGTERM.
-        """
-        self._stop.set()
-
-    @property
-    def stop_requested(self) -> bool:
-        """Whether :meth:`request_stop` has been called for this sweep."""
-        return self._stop.is_set()
-
-    def clear_stop(self) -> None:
-        """Re-arm a stopped runner so a later sweep can run."""
-        self._stop.clear()
-
-    def _check_stop(self, payloads: dict[_Bounds, _ChunkPayload]) -> None:
-        if self._stop.is_set():
-            raise SweepStopped(
-                f"sweep stopped on request ({self._salvage_note(payloads)})"
-            )
 
     def recovery_summary(self) -> str:
         """One human line of recovery facts, for the CLI to print."""
@@ -558,156 +426,14 @@ class ResilientRunner(TrialRunner):
         return "resilience: " + ", ".join(parts)
 
     # ------------------------------------------------------------------
-    # Core scheduling
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        mode: str,
-        fn: Callable[..., Any],
-        trials: int,
-        seed: int,
-        args: tuple[Any, ...],
-        timeout: float | None,
-        metrics: MetricsRegistry | None,
-        trace: TraceRecorder | None,
-    ) -> list[Any]:
-        if trials <= 0:
-            raise ValueError(f"trials must be positive, got {trials}")
-        self._sweep += 1
-        sweep = self._sweep
-        fn_module = getattr(fn, "__module__", "?")
-        fn_name = getattr(fn, "__qualname__", getattr(fn, "__name__", "?"))
-        header: dict[str, Any] = {
-            "mode": mode,
-            "trials": trials,
-            "seed": seed,
-            "chunk": self._resolved_chunk(trials),
-            "fn": f"{fn_module}:{fn_name}",
-            "args_sha256": args_digest(args),
-            "collect_metrics": metrics is not None,
-            "collect_trace": trace is not None,
-        }
-        # Deterministic trace identity: the same fingerprint that guards
-        # resume validation, so a resumed run's spans join the original
-        # run's trace.  First seeding wins (an enclosing campaign's).
-        self.spans.seed_trace(
-            header["fn"], header["args_sha256"], trials, seed
-        )
-        try:
-            with self.spans.span(
-                "span.sweep",
-                key=("sweep", sweep),
-                trials=trials,
-                seed=seed,
-                mode=mode,
-                backend=self.backend_name,
-            ):
-                payloads = self._begin_sweep(sweep, header, trials)
-                chunk = int(header["chunk"])
-                bounds = [
-                    (lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)
-                ]
-                stray = set(payloads) - set(bounds)
-                if stray:
-                    raise CheckpointError(
-                        f"checkpoint sweep {sweep} holds chunk ranges "
-                        f"{sorted(stray)} that do not align with the recorded "
-                        f"chunking ({chunk} trials/chunk); the journal is "
-                        "inconsistent"
-                    )
-                if payloads:
-                    self.ops_metrics.counter("runtime.chunks_salvaged").inc(
-                        len(payloads)
-                    )
-                    self.ops_trace.event(
-                        self._elapsed(),
-                        "checkpoint.salvage",
-                        sweep=sweep,
-                        chunks=len(payloads),
-                    )
-                pending = [
-                    (i, b) for i, b in enumerate(bounds) if b not in payloads
-                ]
-                self.ops_metrics.counter("runtime.trials_planned").inc(trials)
-                if self.progress is not None:
-                    self.progress.begin_sweep(
-                        trials,
-                        len(bounds),
-                        salvaged_trials=sum(
-                            len(p.values) for p in payloads.values()
-                        ),
-                        salvaged_chunks=len(payloads),
-                    )
-
-                began = time.perf_counter()
-                deadline = None if timeout is None else time.monotonic() + timeout
-                children = np.random.SeedSequence(seed).spawn(trials)
-                collect = (metrics is not None, trace is not None)
-                if pending:
-                    if self.backend is not None or (
-                        self.workers > 1 and len(pending) > 1
-                    ):
-                        self._execute_pooled(
-                            fn,
-                            children,
-                            args,
-                            collect,
-                            pending,
-                            payloads,
-                            sweep,
-                            deadline,
-                            timeout,
-                        )
-                    remaining = [(i, b) for i, b in pending if b not in payloads]
-                    if remaining:
-                        self._execute_serial(
-                            fn,
-                            children,
-                            args,
-                            collect,
-                            remaining,
-                            payloads,
-                            sweep,
-                            deadline,
-                            timeout,
-                        )
-                if self.progress is not None:
-                    self.progress.end_sweep()
-        finally:
-            # Chunks journaled so far are durable (each append is
-            # fsynced).  Close the journal whether the sweep completed,
-            # failed, or was interrupted: library callers must not leak
-            # the handle across sweeps, and a killed run must always be
-            # resumable.  The next sweep reopens it in append mode.
-            self.close()
-
-        self.last_telemetry = RunTelemetry(
-            trials=trials,
-            chunks=len(bounds),
-            workers=self.workers,
-            wall_seconds=time.perf_counter() - began,
-            worker_seconds=sum(p.seconds for p in payloads.values()),
-        )
-        # Deterministic fold: chunk order == trial order, independent of
-        # completion order, retries, and how much came from the journal.
-        out: list[Any] = []
-        for b in bounds:
-            payload = payloads[b]
-            if metrics is not None and payload.metrics is not None:
-                metrics.merge(payload.metrics)
-            if trace is not None:
-                trace.extend(payload.records)
-            self._absorb_batch_stats(payload)
-            out.extend(payload.values)
-        return out
-
-    def _resolved_chunk(self, trials: int) -> int:
-        bounds = self._chunk_bounds(trials)
-        return bounds[0][1] - bounds[0][0]
-
-    # ------------------------------------------------------------------
     # Journal plumbing
     # ------------------------------------------------------------------
+    def _salvage_note(self, payloads: dict[_Bounds, _ChunkPayload]) -> str:
+        note = super()._salvage_note(payloads)
+        if self.checkpoint_path is not None:
+            note += f"; journaled to {self.checkpoint_path}"
+        return note
+
     def _ensure_writer(self) -> JournalWriter | None:
         if self.checkpoint_path is None:
             return None
@@ -725,8 +451,10 @@ class ResilientRunner(TrialRunner):
         return self._writer
 
     def _begin_sweep(
-        self, sweep: int, header: dict[str, Any], trials: int
+        self, sweep: int, header: dict[str, Any]
     ) -> dict[_Bounds, _ChunkPayload]:
+        """Validate this sweep against its journal header and return the
+        chunks it already completed, or journal a fresh header."""
         loaded = self._loaded
         if loaded is not None and sweep in loaded.sweeps:
             recorded = loaded.sweeps[sweep]
@@ -752,8 +480,31 @@ class ResilientRunner(TrialRunner):
                 )
             # Reuse the recorded chunking so journaled ranges stay
             # aligned even if --workers changed between runs.
-            header["chunk"] = int(recorded["chunk"])
-            return dict(loaded.chunks.get(sweep, {}))
+            chunk = header["chunk"] = int(recorded["chunk"])
+            payloads = dict(loaded.chunks.get(sweep, {}))
+            stray = {
+                (lo, hi)
+                for lo, hi in payloads
+                if lo % chunk or hi != min(lo + chunk, header["trials"])
+            }
+            if stray:
+                raise CheckpointError(
+                    f"checkpoint sweep {sweep} holds chunk ranges "
+                    f"{sorted(stray)} that do not align with the recorded "
+                    f"chunking ({chunk} trials/chunk); the journal is "
+                    "inconsistent"
+                )
+            if payloads:
+                self.ops_metrics.counter("runtime.chunks_salvaged").inc(
+                    len(payloads)
+                )
+                self.ops_trace.event(
+                    self._elapsed(),
+                    "checkpoint.salvage",
+                    sweep=sweep,
+                    chunks=len(payloads),
+                )
+            return payloads
         writer = self._ensure_writer()
         if writer is not None:
             writer.append(
@@ -798,423 +549,3 @@ class ResilientRunner(TrialRunner):
             lo=lo,
             hi=hi,
         )
-
-    # ------------------------------------------------------------------
-    # Failure accounting
-    # ------------------------------------------------------------------
-    def _salvage_values(
-        self, payloads: dict[_Bounds, _ChunkPayload]
-    ) -> tuple[list[Any], int]:
-        values: list[Any] = []
-        for b in sorted(payloads):
-            values.extend(payloads[b].values)
-        return values, len(values)
-
-    def _salvage_note(self, payloads: dict[_Bounds, _ChunkPayload]) -> str:
-        _values, n = self._salvage_values(payloads)
-        note = f"salvaged {n} completed trials"
-        if self.checkpoint_path is not None:
-            note += f"; journaled to {self.checkpoint_path}"
-        return note
-
-    def _sweep_timeout_error(
-        self, timeout: float | None, payloads: dict[_Bounds, _ChunkPayload]
-    ) -> TrialExecutionError:
-        values, _n = self._salvage_values(payloads)
-        limit = f"{timeout:g}s" if timeout is not None else "its deadline"
-        return TrialExecutionError(
-            f"trial sweep timed out after {limit} "
-            f"({self._salvage_note(payloads)})",
-            partial_values=values,
-        )
-
-    def _note_chunk_failure(
-        self,
-        index: int,
-        bounds: _Bounds,
-        attempts: dict[int, int],
-        payloads: dict[_Bounds, _ChunkPayload],
-        reason: str,
-        worker_traceback: str | None = None,
-        duration: float = 0.0,
-    ) -> float:
-        """Charge one failure against a chunk.
-
-        ``duration`` is how long the failed attempt ran on the
-        coordinator's clock when known (the pool path tracks dispatch
-        times; a worker-reported failure arrives without one).  Returns
-        the backoff delay before the next attempt, or raises
-        :class:`TrialExecutionError` (with salvage attached) once the
-        policy is exhausted.
-        """
-        lo, hi = bounds
-        failures = attempts.get(index, 0) + 1
-        attempts[index] = failures
-        if failures >= self.policy.max_attempts:
-            values, _n = self._salvage_values(payloads)
-            message = (
-                f"chunk [{lo}, {hi}) failed {failures} time(s) and the retry "
-                f"policy allows {self.policy.max_attempts} attempt(s); "
-                f"last failure: {reason} ({self._salvage_note(payloads)})"
-            )
-            if worker_traceback:
-                message += f"\n--- worker traceback ---\n{worker_traceback}"
-            raise TrialExecutionError(message, partial_values=values)
-        self.ops_metrics.counter("runtime.chunk_retries").inc()
-        self.ops_trace.event(
-            self._elapsed(),
-            "chunk.retry",
-            lo=lo,
-            hi=hi,
-            attempt=failures,
-            reason=reason[:200],
-        )
-        # The failed attempt as a span, parented under the chunk whose
-        # record will exist once some attempt finally succeeds (ids are
-        # deterministic, so the parent link resolves retroactively).
-        self.spans.emit(
-            "span.attempt",
-            start=max(0.0, self._elapsed() - max(0.0, duration)),
-            duration=max(0.0, duration),
-            key=(self._sweep, index, failures),
-            parent=self.spans.span_id("span.chunk", self._sweep, index),
-            lo=lo,
-            hi=hi,
-            attempt=failures,
-            host=None,
-            status="error",
-        )
-        if self.progress is not None:
-            self.progress.note_retry()
-        return self.policy.backoff_seconds(failures, index)
-
-    # ------------------------------------------------------------------
-    # Pool path (any ChunkExecutor backend)
-    # ------------------------------------------------------------------
-    def _acquire_backend(self, n_pending: int) -> tuple[ChunkExecutor | None, bool]:
-        """The backend to dispatch on, plus whether this runner owns it."""
-        if self.backend is not None:
-            executor: ChunkExecutor = self.backend
-            owns = False
-        else:
-            executor = LocalProcessBackend(
-                max_workers=min(self.workers, n_pending),
-                mp_context=self.mp_context,
-            )
-            owns = True
-        try:
-            executor.start()
-        except BackendUnavailable as exc:  # sandboxes without semaphores
-            warnings.warn(
-                f"{exc}; running trials in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None, owns
-        return executor, owns
-
-    def _rebuild_backend(
-        self,
-        executor: ChunkExecutor,
-        inflight: dict[Future[Any], tuple[int, _Bounds, float]],
-        queue: deque[tuple[int, _Bounds]],
-    ) -> bool:
-        """Requeue collateral chunks and rebuild the backend's compute.
-
-        Chunks still in flight when the backend dies are *collateral*:
-        they are rescheduled without an attempt charge (the chunk that
-        caused the teardown was charged by the caller and sits in its
-        backoff window already).
-        """
-        for index, bounds, _started in inflight.values():
-            queue.append((index, bounds))
-        inflight.clear()
-        self.ops_metrics.counter("runtime.pool_rebuilds").inc()
-        rebuilds = int(self.ops_metrics.counter("runtime.pool_rebuilds").value)
-        self.ops_trace.event(
-            self._elapsed(),
-            "pool.rebuild",
-            pending=len(queue),
-            backend=executor.name,
-        )
-        with self.spans.span(
-            "span.pool_rebuild",
-            key=("rebuild", rebuilds),
-            backend=executor.name,
-            pending=len(queue),
-        ):
-            rebuilt = executor.rebuild()
-        if rebuilt:
-            return True
-        warnings.warn(
-            f"{executor.name} backend cannot be rebuilt; "
-            "running remaining trials in-process",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return False
-
-    def _drain_backend_events(self, executor: ChunkExecutor) -> None:
-        """Fold backend facts (steals, worker deaths) into ops telemetry.
-
-        Accounting contract: a steal charges exactly one retry (the
-        straggler's lease expired -- that *is* the retry); a worker
-        death charges one retry per lease it forfeited; a duplicate
-        completion (steal loser finishing late) charges nothing and is
-        recorded only as a trace event, which is what "losers uncharged,
-        at-most-once aggregation" means in numbers.  Backend-internal
-        requeues never consume the runner's ``RetryPolicy`` attempt
-        budget -- that budget is for chunks that *failed*, not chunks a
-        dying host happened to hold.
-        """
-        for event in executor.drain_events():
-            data = dict(event.data)
-            if event.kind == "steal":
-                self.ops_metrics.counter("runtime.steals").inc()
-                self.ops_metrics.counter("runtime.chunk_retries").inc()
-                self.ops_trace.event(self._elapsed(), "chunk.steal", **data)
-                # Instantaneous span: the steal decision itself (the
-                # stolen chunk's execution shows up as attempt spans).
-                self.spans.emit(
-                    "span.steal",
-                    start=self._elapsed(),
-                    duration=0.0,
-                    **{k: v for k, v in data.items() if k != "dur_s"},
-                )
-                if self.progress is not None:
-                    self.progress.note_steal()
-            elif event.kind == "worker_death":
-                requeued = int(data.get("requeued", 0))
-                self.ops_metrics.counter("runtime.worker_deaths").inc()
-                if requeued:
-                    self.ops_metrics.counter("runtime.chunk_retries").inc(requeued)
-                self.ops_trace.event(self._elapsed(), "worker.death", **data)
-                if self.progress is not None:
-                    self.progress.note_worker_death()
-            elif event.kind == "duplicate":
-                self.ops_trace.event(self._elapsed(), "chunk.duplicate", **data)
-            elif event.kind == "worker_join":
-                self.ops_trace.event(self._elapsed(), "worker.join", **data)
-            elif event.kind == "fallback":
-                self.ops_trace.event(self._elapsed(), "backend.fallback", **data)
-            else:
-                self.ops_trace.event(
-                    self._elapsed(), f"backend.{event.kind}", **data
-                )
-
-    def _next_wakeup(
-        self,
-        inflight: dict[Future[Any], tuple[int, _Bounds, float]],
-        retry_at: dict[int, tuple[float, _Bounds]],
-        deadline: float | None,
-    ) -> float:
-        """Longest safe wait() timeout before some timer needs service."""
-        now = time.monotonic()
-        horizons = [0.5]
-        if self.chunk_timeout is not None and inflight:
-            oldest = min(started for _i, _b, started in inflight.values())
-            horizons.append(oldest + self.chunk_timeout - now)
-        if retry_at:
-            horizons.append(min(t for t, _b in retry_at.values()) - now)
-        if deadline is not None:
-            horizons.append(deadline - now)
-        return max(0.0, min(horizons))
-
-    def _execute_pooled(
-        self,
-        fn: Callable[..., Any],
-        children: Sequence[np.random.SeedSequence],
-        args: tuple[Any, ...],
-        collect: tuple[bool, bool],
-        pending: list[tuple[int, _Bounds]],
-        payloads: dict[_Bounds, _ChunkPayload],
-        sweep: int,
-        deadline: float | None,
-        timeout: float | None,
-    ) -> None:
-        """Run pending chunks on a pool, retrying and rebuilding as needed.
-
-        Completed chunks land in ``payloads`` (and the journal) the
-        moment they arrive, in *completion* order -- determinism is
-        restored by the caller's chunk-ordered fold.  If the backend
-        cannot be (re)built, remaining chunks are left for the serial
-        fallback.
-        """
-        executor, owns_backend = self._acquire_backend(len(pending))
-        if executor is None:
-            return
-        queue: deque[tuple[int, _Bounds]] = deque(pending)
-        retry_at: dict[int, tuple[float, _Bounds]] = {}
-        inflight: dict[Future[Any], tuple[int, _Bounds, float]] = {}
-        attempts: dict[int, int] = {}
-        try:
-            while queue or inflight or retry_at:
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    raise self._sweep_timeout_error(timeout, payloads)
-                # Chunk-boundary stop point: everything journaled so far
-                # is durable; in-flight chunks are abandoned (the finally
-                # clause resets the backend) and simply re-run on resume.
-                self._check_stop(payloads)
-                for index in [i for i, (t, _b) in retry_at.items() if t <= now]:
-                    _due, bounds = retry_at.pop(index)
-                    queue.append((index, bounds))
-                while queue and len(inflight) < max(1, executor.capacity()):
-                    index, (lo, hi) = queue.popleft()
-                    future = executor.submit(
-                        ChunkJob(
-                            index=index,
-                            lo=lo,
-                            hi=hi,
-                            fn=fn,
-                            children=tuple(children[lo:hi]),
-                            args=args,
-                            collect=collect,
-                            batch=self.batch,
-                            trace_id=self.spans.trace_id,
-                        )
-                    )
-                    inflight[future] = (index, (lo, hi), time.monotonic())
-                if not inflight:
-                    # Everything is waiting out a backoff window.
-                    pause = self._next_wakeup(inflight, retry_at, deadline)
-                    if pause > 0:
-                        time.sleep(pause)
-                    continue
-                done, _still_running = wait(
-                    set(inflight),
-                    timeout=self._next_wakeup(inflight, retry_at, deadline),
-                    return_when=FIRST_COMPLETED,
-                )
-                self._drain_backend_events(executor)
-                broken = False
-                for future in done:
-                    index, bounds, started = inflight.pop(future)
-                    ran = max(0.0, time.monotonic() - started)
-                    try:
-                        result = future.result()
-                    except (BrokenProcessPool, RuntimeError, OSError) as exc:
-                        # One crash breaks the whole pool, so every
-                        # in-flight future resolves with this error at
-                        # once.  Charge only the first -- the rest are
-                        # collateral chunks that never got to finish and
-                        # are rescheduled without an attempt charge.
-                        if broken:
-                            queue.append((index, bounds))
-                            continue
-                        broken = True
-                        delay = self._note_chunk_failure(
-                            index,
-                            bounds,
-                            attempts,
-                            payloads,
-                            f"worker process crashed ({type(exc).__name__}: {exc})",
-                            duration=ran,
-                        )
-                        retry_at[index] = (time.monotonic() + delay, bounds)
-                        continue
-                    if isinstance(result, _ChunkError):
-                        delay = self._note_chunk_failure(
-                            index,
-                            bounds,
-                            attempts,
-                            payloads,
-                            f"trial {result.index} raised {result.message}",
-                            worker_traceback=result.worker_traceback,
-                            duration=ran,
-                        )
-                        retry_at[index] = (time.monotonic() + delay, bounds)
-                    else:
-                        payloads[bounds] = result
-                        self._record_chunk(sweep, bounds, result)
-                        self._note_chunk_done(
-                            sweep,
-                            index,
-                            bounds[0],
-                            bounds[1],
-                            result,
-                            attempt=attempts.get(index, 0) + 1,
-                        )
-                if broken:
-                    if not self._rebuild_backend(executor, inflight, queue):
-                        return  # serial fallback finishes the remainder
-                    continue
-                # Watchdog: runs every iteration, not just when wait()
-                # comes back empty -- a hung chunk must be detected even
-                # while other chunks keep completing around it.
-                if self.chunk_timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (future, entry)
-                        for future, entry in inflight.items()
-                        if now - entry[2] >= self.chunk_timeout
-                    ]
-                    if expired:
-                        for future, (index, bounds, _started) in expired:
-                            del inflight[future]
-                            delay = self._note_chunk_failure(
-                                index,
-                                bounds,
-                                attempts,
-                                payloads,
-                                f"chunk exceeded the {self.chunk_timeout:g}s "
-                                "chunk timeout",
-                                duration=self.chunk_timeout,
-                            )
-                            retry_at[index] = (time.monotonic() + delay, bounds)
-                        if not self._rebuild_backend(executor, inflight, queue):
-                            return
-        finally:
-            self._drain_backend_events(executor)
-            if inflight or queue or retry_at:
-                # Abnormal exit: workers may be stuck mid-trial.
-                executor.reset()
-            if owns_backend:
-                executor.shutdown(wait=not (inflight or queue or retry_at))
-
-    # ------------------------------------------------------------------
-    # Serial path (workers=1, single chunk, or pool unavailable)
-    # ------------------------------------------------------------------
-    def _execute_serial(
-        self,
-        fn: Callable[..., Any],
-        children: Sequence[np.random.SeedSequence],
-        args: tuple[Any, ...],
-        collect: tuple[bool, bool],
-        pending: list[tuple[int, _Bounds]],
-        payloads: dict[_Bounds, _ChunkPayload],
-        sweep: int,
-        deadline: float | None,
-        timeout: float | None,
-    ) -> None:
-        attempts: dict[int, int] = {}
-        for index, (lo, hi) in pending:
-            while True:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise self._sweep_timeout_error(timeout, payloads)
-                self._check_stop(payloads)
-                result = _run_chunk(
-                    fn, lo, children[lo:hi], args, *collect, batch=self.batch
-                )
-                if isinstance(result, _ChunkPayload):
-                    payloads[(lo, hi)] = result
-                    self._record_chunk(sweep, (lo, hi), result)
-                    self._note_chunk_done(
-                        sweep,
-                        index,
-                        lo,
-                        hi,
-                        result,
-                        attempt=attempts.get(index, 0) + 1,
-                    )
-                    break
-                delay = self._note_chunk_failure(
-                    index,
-                    (lo, hi),
-                    attempts,
-                    payloads,
-                    f"trial {result.index} raised {result.message}",
-                    worker_traceback=result.worker_traceback,
-                )
-                if delay > 0:
-                    time.sleep(delay)

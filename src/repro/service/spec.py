@@ -250,14 +250,12 @@ class SweepSpec:
             fn: Callable[..., Any] = _burst_trial
             args: tuple[Any, ...] = (evaluator, self.failures, self.racks, dc)
         else:
-            # Lazy: repro.cli imports this package only inside cmd_serve,
-            # so this import is acyclic at call time.
-            from ..cli import _simulate_trial
+            from ..sim.batch import simulate_trial
 
             assert self.months is not None and self.afr is not None
             assert self.method is not None
             mission_time = self.months / 12 * YEAR
-            fn = _simulate_trial
+            fn = simulate_trial
             args = (
                 scheme,
                 RepairMethod(self.method),

@@ -59,7 +59,7 @@ import numpy as np
 
 from ..core.arrays import AnyArray
 from ..core.scheme import MLECScheme, SLECScheme
-from ..core.types import Level, Placement
+from ..core.types import Level, Placement, RepairMethod
 from ..runtime.runner import TrialContext
 from .burst import (
     BurstGenerator,
@@ -78,6 +78,7 @@ __all__ = [
     "register_batch_impl",
     "resolve_batch_mode",
     "simulate_batch_impl",
+    "simulate_trial",
 ]
 
 #: ``batch="auto"`` engages the batch engine only for chunks at least
@@ -380,7 +381,7 @@ def _grid_cell_trial_batch(
 
 
 # ----------------------------------------------------------------------
-# Full-system simulator batching (cli._simulate_trial)
+# Full-system simulator trial and its batching
 # ----------------------------------------------------------------------
 def _simple_trial_result(
     mission_time: float, n_failures: int, disk_capacity_bytes: float
@@ -501,12 +502,34 @@ def _failure_chain(
     return chain_t, chain_d, None
 
 
+def simulate_trial(
+    ctx: TrialContext,
+    scheme: MLECScheme,
+    method: RepairMethod,
+    afr: float,
+    mission_time: float,
+    base_seed: int,
+) -> SystemSimResult:
+    """One full-system simulation trial (``mlec-sim simulate``, the
+    service's simulate jobs); module-level so workers can unpickle it."""
+    sim = MLECSystemSimulator(
+        scheme, method, failure_model=ExponentialFailures(afr)
+    )
+    return sim.run(
+        mission_time=mission_time,
+        seed=base_seed + ctx.index,
+        recorder=ctx.trace,
+        metrics=ctx.metrics,
+    )
+
+
+@register_batch_impl(simulate_trial)
 def simulate_batch_impl(
     fn: Callable[..., Any],
     contexts: Sequence[TrialContext],
     args: tuple[Any, ...],
 ) -> tuple[list[Any], BatchStats]:
-    """Batch form of the CLI's full-system simulation trial.
+    """Batch form of :func:`simulate_trial`.
 
     Replays each trial's disk-failure chain -- the only part of a plain
     run that consumes random draws -- with array operations

@@ -212,13 +212,13 @@ class TestGridIdentity:
 def simulate_case(scheme_name, afr, mission_time, trials, *, mode,
                   workers=1, trace=None, params=PARAMS):
     """One CLI-equivalent simulate sweep; returns (results, metrics, runner)."""
-    from repro.cli import _simulate_trial
+    from repro.sim.batch import simulate_trial
 
     scheme = mlec_scheme_from_name(scheme_name, params)
     runner = TrialRunner(workers=workers, batch=mode)
     metrics = MetricsRegistry()
     results = runner.map(
-        _simulate_trial, trials, seed=11,
+        simulate_trial, trials, seed=11,
         args=(scheme, RepairMethod.R_ALL, afr, mission_time, 11),
         metrics=metrics, trace=trace,
     )
@@ -536,12 +536,12 @@ class TestOpsTelemetrySegregation:
         assert batched + demoted == 20
 
     def test_demotion_reasons_sum_and_stay_out_of_results(self):
-        from repro.cli import _simulate_trial
+        from repro.sim.batch import simulate_trial
 
         runner = TrialRunner(batch="on")
         metrics = MetricsRegistry()
         scheme = mlec_scheme_from_name("C/C", MLECParams(4, 1, 5, 1))
-        runner.map(_simulate_trial, 4, seed=2,
+        runner.map(simulate_trial, 4, seed=2,
                    args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12, 2),
                    metrics=metrics, trace=TraceRecorder())
         burst_pdl_stats(mlec_evaluator("D/D"), 60, 3, trials=20, seed=1,

@@ -334,14 +334,30 @@ class TestTcpRoundTrip:
     def test_sigkill_worker_host_never_loses_or_double_counts(self, tmp_path):
         """The acceptance bar: a worker host dying mid-campaign costs
         telemetry, never a lost or double-counted chunk."""
+        self._sigkill_worker_host(
+            tmp_path,
+            lambda backend: ResilientRunner(
+                workers=2, chunk_size=3, policy=FAST, backend=backend
+            ),
+        )
+
+    def test_sigkill_worker_host_plain_runner(self, tmp_path):
+        """A plain runner (one attempt per chunk) rides out the same host
+        death -- a backend requeue is not a charged attempt -- and counts
+        it in the same ops telemetry."""
+        self._sigkill_worker_host(
+            tmp_path,
+            lambda backend: TrialRunner(workers=2, chunk_size=3, backend=backend),
+        )
+
+    @staticmethod
+    def _sigkill_worker_host(tmp_path, make_runner):
         reference = _run_telemetry(TrialRunner(workers=1), 24, 11)
         marker = str(tmp_path / "host-killed-once")
         backend = TcpWorkQueueBackend(connect_grace=60.0, poll_interval=0.02)
         backend.start()
         procs = _spawn_worker_procs(backend.address, 2)
-        runner = ResilientRunner(
-            workers=2, chunk_size=3, policy=FAST, backend=backend
-        )
+        runner = make_runner(backend)
         try:
             _wait_workers(backend, 2)
             got = _run_telemetry(runner, 24, 11, marker=marker)

@@ -1,5 +1,6 @@
 """TrialRunner: determinism across worker counts, failure surfacing."""
 
+import functools
 import math
 import os
 import time
@@ -9,6 +10,8 @@ import pytest
 
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.runtime import (
+    ResilientRunner,
+    RetryPolicy,
     TrialAggregate,
     TrialExecutionError,
     TrialRunner,
@@ -33,6 +36,13 @@ def _pair_trial(ctx, scale):
 
 def _failing_trial(ctx):
     if ctx.index == 3:
+        raise ValueError("trial 3 is cursed")
+    return float(ctx.index)
+
+
+def _late_failing_trial(ctx):
+    if ctx.index == 3:
+        time.sleep(0.5)  # chunks past the failure complete meanwhile
         raise ValueError("trial 3 is cursed")
     return float(ctx.index)
 
@@ -153,13 +163,17 @@ class TestValidation:
 
 
 class TestFailureSurfacing:
+    #: The runner under test; the subclasses below rerun every case on
+    #: the resilient configuration of the same scheduler.
+    runner = TrialRunner
+
     def test_trial_exception_serial(self):
         with pytest.raises(TrialExecutionError, match="trial 3.*ValueError"):
-            TrialRunner(workers=1).run(_failing_trial, 8, seed=0)
+            self.runner(workers=1).run(_failing_trial, 8, seed=0)
 
     def test_trial_exception_parallel_includes_worker_traceback(self):
         with pytest.raises(TrialExecutionError) as excinfo:
-            TrialRunner(workers=2, chunk_size=2).run(_failing_trial, 8, seed=0)
+            self.runner(workers=2, chunk_size=2).run(_failing_trial, 8, seed=0)
         message = str(excinfo.value)
         assert "trial 3" in message
         assert "ValueError: trial 3 is cursed" in message
@@ -167,10 +181,10 @@ class TestFailureSurfacing:
 
     def test_worker_crash_surfaces(self):
         with pytest.raises(TrialExecutionError, match="crashed"):
-            TrialRunner(workers=2, chunk_size=2).run(_crashing_trial, 8, seed=0)
+            self.runner(workers=2, chunk_size=2).run(_crashing_trial, 8, seed=0)
 
     def test_timeout_surfaces(self):
-        runner = TrialRunner(workers=2, chunk_size=1)
+        runner = self.runner(workers=2, chunk_size=1)
         start = time.monotonic()
         with pytest.raises(TrialExecutionError, match="timed out"):
             runner.run(_sleeping_trial, 4, seed=0, timeout=0.5)
@@ -178,11 +192,13 @@ class TestFailureSurfacing:
         assert time.monotonic() - start < 20.0
 
 
-class TestSalvage:
+class _SalvageCases:
     """Failures carry the completed prefix instead of discarding it."""
 
+    runner = TrialRunner
+
     def test_timeout_salvages_completed_prefix(self):
-        runner = TrialRunner(workers=2, chunk_size=1)
+        runner = self.runner(workers=2, chunk_size=1)
         with pytest.raises(TrialExecutionError) as excinfo:
             runner.run(_slow_tail_trial, 6, seed=0, timeout=2.0)
         exc = excinfo.value
@@ -196,25 +212,39 @@ class TestSalvage:
 
     def test_serial_trial_exception_salvages_earlier_chunks(self):
         with pytest.raises(TrialExecutionError) as excinfo:
-            TrialRunner(workers=1, chunk_size=2).run(_failing_trial, 8, seed=0)
+            self.runner(workers=1, chunk_size=2).run(_failing_trial, 8, seed=0)
         exc = excinfo.value
         assert exc.partial_values == [0.0, 1.0]
         assert exc.completed_trials == 2
 
     def test_parallel_trial_exception_salvages_earlier_chunks(self):
         with pytest.raises(TrialExecutionError) as excinfo:
-            TrialRunner(workers=2, chunk_size=2).run(_failing_trial, 8, seed=0)
+            self.runner(workers=2, chunk_size=2).run(_failing_trial, 8, seed=0)
         exc = excinfo.value
         assert exc.partial_values == [0.0, 1.0]
         assert exc.completed_trials == 2
 
+    def test_pooled_failure_salvages_prefix_without_gaps(self):
+        """Chunks completed past the failed one are not salvaged:
+        partial_values[i] is always trial i's result."""
+        with pytest.raises(TrialExecutionError) as excinfo:
+            self.runner(workers=2, chunk_size=2).run(
+                _late_failing_trial, 8, seed=0
+            )
+        exc = excinfo.value
+        assert exc.partial_values == [0.0, 1.0]
+        assert exc.completed_trials == 2
+        assert "salvaged 2 completed trials" in str(exc)
+
     def test_worker_crash_salvage_mentioned_in_message(self):
         with pytest.raises(TrialExecutionError) as excinfo:
-            TrialRunner(workers=2, chunk_size=2).run(_crashing_trial, 8, seed=0)
+            self.runner(workers=2, chunk_size=2).run(_crashing_trial, 8, seed=0)
         exc = excinfo.value
         assert exc.partial_values is not None
         assert "salvaged" in str(exc)
 
+
+class TestSalvage(_SalvageCases):
     def test_partial_aggregate_none_for_structured_values(self):
         exc = TrialExecutionError("boom", partial_values=[(1, 2), (3, 4)])
         assert exc.completed_trials == 2
@@ -225,6 +255,21 @@ class TestSalvage:
         assert exc.partial_values is None
         assert exc.completed_trials == 0
         assert exc.partial_aggregate() is None
+
+
+#: A resilient runner with one attempt per chunk and no journal: the
+#: configuration a plain TrialRunner is, so both must fail alike.
+_one_attempt_resilient = functools.partial(
+    ResilientRunner, policy=RetryPolicy(max_attempts=1)
+)
+
+
+class TestFailureSurfacingResilient(TestFailureSurfacing):
+    runner = _one_attempt_resilient
+
+
+class TestSalvageResilient(_SalvageCases):
+    runner = _one_attempt_resilient
 
 
 class TestFallback:
