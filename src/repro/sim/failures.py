@@ -31,7 +31,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..core.arrays import FloatArray
+from ..core.arrays import FloatArray, IntArray
 from ..core.config import YEAR
 from ..core.types import Years
 
@@ -42,6 +42,7 @@ __all__ = [
     "BathtubFailures",
     "TraceFailures",
     "initial_failure_times",
+    "initial_failures",
 ]
 
 
@@ -82,6 +83,16 @@ class ExponentialFailures:
         generator state as ``n`` scalar draws)."""
         return rng.exponential(1.0 / self.rate, size=n)
 
+    def initial_failures(
+        self, rng: np.random.Generator, n: int, horizon: float
+    ) -> tuple[IntArray, FloatArray]:
+        """The disks of ``0..n-1`` that fail before ``horizon``, with
+        their failure times (see :func:`initial_failures`)."""
+        cdf = -math.expm1(-self.rate * horizon)
+        return _truncated_draw(
+            rng, n, horizon, cdf, lambda q: -np.log1p(-q) / self.rate
+        )
+
 
 class WeibullFailures:
     """Weibull time-to-failure: shape < 1 infant mortality, > 1 wear-out.
@@ -102,6 +113,17 @@ class WeibullFailures:
     ) -> float:
         del disk_id
         return in_service_since + self.scale * rng.weibull(self.shape)
+
+    def initial_failures(
+        self, rng: np.random.Generator, n: int, horizon: float
+    ) -> tuple[IntArray, FloatArray]:
+        """The disks of ``0..n-1`` that fail before ``horizon``, with
+        their failure times (see :func:`initial_failures`)."""
+        cdf = -math.expm1(-((horizon / self.scale) ** self.shape))
+        return _truncated_draw(
+            rng, n, horizon, cdf,
+            lambda q: self.scale * (-np.log1p(-q)) ** (1.0 / self.shape),
+        )
 
 
 class BathtubFailures:
@@ -173,6 +195,53 @@ class TraceFailures:
             return math.inf
         i = bisect.bisect_right(times, in_service_since)
         return times[i] if i < len(times) else math.inf
+
+
+def _truncated_draw(
+    rng: np.random.Generator,
+    n: int,
+    horizon: float,
+    cdf: float,
+    quantile: Callable[[FloatArray], FloatArray],
+) -> tuple[IntArray, FloatArray]:
+    """In-horizon failures of ``n`` i.i.d. disks whose lifetime CDF is
+    ``cdf`` at ``horizon`` and whose inverse CDF is ``quantile``.
+
+    Draws the count as ``Binomial(n, cdf)``, the failing disks as a
+    uniform subset (ascending), and each time by inverting the law
+    truncated to ``[0, horizon)``: ``quantile(u * cdf)`` with
+    ``u ~ U[0, 1)``.  A time that rounds up to ``horizon`` is clamped to
+    the largest double below it.
+    """
+    k = int(rng.binomial(n, cdf)) if cdf > 0 else 0
+    disks = np.sort(rng.choice(n, k, replace=False, shuffle=False))
+    times = quantile(rng.random(k) * cdf)
+    np.minimum(times, np.nextafter(horizon, -math.inf), out=times)
+    return disks, times
+
+
+def initial_failures(
+    model: FailureModel, rng: np.random.Generator, n: int, horizon: float
+) -> tuple[IntArray, FloatArray]:
+    """Disks of ``0..n-1`` entering service at time 0 that fail before
+    ``horizon``: ``(disks, times)`` with ``disks`` ascending and every
+    time ``< horizon``.
+
+    Uses the model's ``initial_failures`` when it has one; otherwise
+    makes the ``n`` scalar ``time_to_failure`` calls in disk order and
+    keeps the times before ``horizon``.
+    """
+    draw: Callable[
+        [np.random.Generator, int, float], tuple[IntArray, FloatArray]
+    ] | None = getattr(model, "initial_failures", None)
+    if callable(draw):
+        return draw(rng, n, horizon)
+    times = np.array(
+        [model.time_to_failure(rng, disk, 0.0) for disk in range(n)],
+        dtype=float,
+    )
+    disks = np.flatnonzero(times < horizon)
+    return disks, times[disks]
 
 
 def initial_failure_times(
