@@ -26,6 +26,7 @@ __all__ = [
     "HOUR",
     "DAY",
     "YEAR",
+    "RNG_STREAM",
     "DatacenterConfig",
     "BandwidthConfig",
     "FailureConfig",
@@ -46,6 +47,12 @@ TB = 10**12
 HOUR = 3600.0
 DAY = 24 * HOUR
 YEAR = 365 * DAY
+
+#: Version of the simulators' random draw order.  The same seed gives the
+#: same results only within one stream, so checkpoint journals and the
+#: service's result cache key record it.  Stream 2 draws only the initial
+#: disk failures inside a mission (``repro.sim.failures.initial_failures``).
+RNG_STREAM = 2
 
 
 @dataclasses.dataclass(frozen=True)

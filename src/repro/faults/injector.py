@@ -18,15 +18,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.arrays import FloatArray
+from ..core.arrays import FloatArray, IntArray
 from ..core.config import DatacenterConfig
 from ..obs import TraceRecorder
 from ..sim.events import EventQueue, EventType
-from ..sim.failures import (
-    ExponentialFailures,
-    FailureModel,
-    initial_failure_times,
-)
+from ..sim.failures import ExponentialFailures, FailureModel, initial_failures
 from .events import (
     BandwidthDegradation,
     EnclosureOutage,
@@ -132,16 +128,29 @@ class FaultInjector:
                 t = min(t, when)
         return t
 
-    def initial_times(self, rng: np.random.Generator, n: int) -> FloatArray:
-        """:meth:`time_to_failure` for disks ``0..n-1`` at time 0, as one
-        block: the base model's initial times, each permanent outage's
-        disk range clipped to the outage time (an outage at time 0 kills
-        no disk that is not yet in service)."""
-        times = initial_failure_times(self.base, rng, n)
+    def initial_failures(
+        self, rng: np.random.Generator, n: int, horizon: float
+    ) -> tuple[IntArray, FloatArray]:
+        """In-horizon failures of disks ``0..n-1`` entering service at
+        time 0 (see :func:`repro.sim.failures.initial_failures`).
+
+        The base model's in-horizon pairs, merged with every permanent
+        outage inside ``(0, horizon)``: each disk of its range fails at
+        ``min(t, when)``.  An outage at time 0 kills no disk that is not
+        yet in service, exactly as :meth:`time_to_failure` clips.
+        """
+        disks, times = initial_failures(self.base, rng, n, horizon)
         for first, end, when in self._permanent:
-            if when > 0:
-                np.minimum(times[first:end], when, out=times[first:end])
-        return times
+            end = min(end, n)
+            if not 0 < when < horizon or first >= end:
+                continue
+            lo, hi = np.searchsorted(disks, (first, end))
+            span = np.full(end - first, when)
+            span[disks[lo:hi] - first] = np.minimum(times[lo:hi], when)
+            disks = np.concatenate(
+                (disks[:lo], np.arange(first, end), disks[hi:]))
+            times = np.concatenate((times[:lo], span, times[hi:]))
+        return disks, times
 
     # ------------------------------------------------------------------
     # Queue-level scheduling

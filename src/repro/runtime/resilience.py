@@ -466,6 +466,7 @@ class ResilientRunner(TrialRunner):
                 "args_sha256",
                 "collect_metrics",
                 "collect_trace",
+                "rng_stream",
             ):
                 if recorded.get(key) != header[key]:
                     raise CheckpointError(

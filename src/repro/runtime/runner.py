@@ -68,6 +68,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.config import RNG_STREAM
 from repro.obs import MetricsRegistry, SpanTracer, TraceRecorder
 from repro.obs.progress import ProgressTracker
 
@@ -584,6 +585,7 @@ class TrialRunner:
             "args_sha256": args_digest(args),
             "collect_metrics": metrics is not None,
             "collect_trace": trace is not None,
+            "rng_stream": RNG_STREAM,
         }
         # Deterministic trace identity: the same fingerprint that guards
         # resume validation, so a resumed run's spans join the original

@@ -27,7 +27,7 @@ import re
 from collections.abc import Callable, Mapping
 from typing import Any
 
-from ..core.config import YEAR, DatacenterConfig, MLECParams
+from ..core.config import RNG_STREAM, YEAR, DatacenterConfig, MLECParams
 from ..core.scheme import MLEC_SCHEME_NAMES, mlec_scheme_from_name
 from ..core.types import RepairMethod
 from ..runtime.resilience import args_digest
@@ -280,7 +280,8 @@ class SweepSpec:
         Hashes the resolved ``(fn, args, trials, seed)`` -- the same
         fingerprint the checkpoint journal header carries -- plus the
         collect flags (a traced run produces a different artifact set
-        than an untraced one).  Deliberately excludes ``batch``,
+        than an untraced one) and the RNG stream version (a cached result
+        of another draw order is not this build's result).  Deliberately excludes ``batch``,
         ``chunk``, and ``priority``: those change *how* a sweep runs,
         never a result byte, so they must not fracture the cache.
         """
@@ -292,6 +293,7 @@ class SweepSpec:
             "seed": plan.seed,
             "collect_metrics": plan.collect_metrics,
             "collect_trace": plan.collect_trace,
+            "rng_stream": RNG_STREAM,
         }
         blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

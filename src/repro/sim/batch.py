@@ -68,7 +68,7 @@ from .burst import (
     _burst_trial,
     _grid_cell_trial,
 )
-from .failures import ExponentialFailures, initial_failure_times
+from .failures import ExponentialFailures, initial_failures
 from .simulator import MLECSystemSimulator, SystemSimResult
 
 __all__ = [
@@ -430,6 +430,7 @@ _DRAW_MARGIN = 32
 
 
 def _failure_chain(
+    disks: AnyArray,
     times: AnyArray,
     rng: np.random.Generator,
     scale: float,
@@ -441,9 +442,11 @@ def _failure_chain(
 ) -> tuple[AnyArray, AnyArray, str | None]:
     """Replay a trial's disk-failure chain with array operations.
 
-    ``times`` are the initial per-disk failure times (indexed by disk).
-    Returns the processed failures' times and disks in event order plus a
-    demotion reason (``None`` when the trial is simple).  The scalar
+    ``disks`` (ascending) and ``times`` are the initial failures before
+    the mission end, as :func:`~repro.sim.failures.initial_failures`
+    returns them.  Returns the processed failures' times and disks in
+    event order plus a demotion reason (``None`` when the trial is
+    simple).  The scalar
     event loop processes failures in ``(t, disk)`` order while
     ``t < mission_time`` and draws one replacement per processed failure
     (``t + rng.exponential(scale)``), so the k-th processed failure takes
@@ -456,10 +459,8 @@ def _failure_chain(
     failure finds ``p_l`` earlier failures of its pool still inside
     their inclusive repair window (the pool reaches its parity budget).
     """
-    disks = np.flatnonzero(times < mission_time)
-    chain_t = times[disks]
-    order = np.argsort(chain_t, kind="stable")  # disks ascend: (t, disk)
-    chain_t, chain_d = chain_t[order], disks[order]
+    order = np.argsort(times, kind="stable")  # disks ascend: (t, disk)
+    chain_t, chain_d = times[order], disks[order]
     draws = rng.exponential(scale, size=len(chain_t) + margin)
     start = 0
     while start < len(chain_t):
@@ -533,11 +534,12 @@ def simulate_batch_impl(
 
     Replays each trial's disk-failure chain -- the only part of a plain
     run that consumes random draws -- with array operations
-    (:func:`_failure_chain`): the initial per-disk failure times are one
-    vectorized draw (the same call the simulator makes), and the
-    replacement draws come as one block merged into the sorted failures,
-    so the stream is consumed in the scalar order and a mission costs
-    little more than its initial draws.  Failures overlapping below the
+    (:func:`_failure_chain`): the initial failures inside the mission are
+    one :func:`~repro.sim.failures.initial_failures` draw (the same call
+    the simulator makes), and the replacement draws come as one block
+    merged into the sorted failures, so the stream is consumed in the
+    scalar order and a mission costs little more than its few hundred
+    in-mission failures.  Failures overlapping below the
     parity budget are harmless -- they consume no extra draws and touch
     no result field -- so a trial stays on this fast path unless a local
     pool would reach ``p_l`` *concurrent* failures (counting repair
@@ -581,9 +583,9 @@ def simulate_batch_impl(
         # Same derivation the scalar trial feeds `sim.run(seed=...)`:
         # replaying its stream verbatim is the whole point here.
         rng = np.random.default_rng(base_seed + ctx.index)  # simlint: disable=SL002
-        times = initial_failure_times(model, rng, total_disks)
+        disks, times = initial_failures(model, rng, total_disks, mission_time)
         chain_t, _disks, reason = _failure_chain(
-            times, rng, scale, mission_time, pool_divisor,
+            disks, times, rng, scale, mission_time, pool_divisor,
             scheme.params.p_l, repair_window,
         )
         if reason is not None:

@@ -14,12 +14,22 @@ Available models:
 * :class:`TraceFailures` -- replays an explicit (time, disk) schedule from
   a :class:`repro.sim.traces.FailureTrace`.
 
-A model may also offer ``initial_times(rng, n)``: the failure times of
-disks ``0..n-1`` all entering service at time 0, drawn as one block that
-equals -- value for value, with the same generator state after -- ``n``
-scalar ``time_to_failure(rng, disk, 0.0)`` calls in disk order.
-:func:`initial_failure_times` is the one place the simulators draw their
-initial schedules, through that block when the model has one.
+Every disk enters service at time 0, so a simulation starts from the
+disks that fail inside its mission.  :func:`initial_failures` is the one
+place the simulators draw them: it returns only the in-horizon
+``(disks, times)`` pairs, disks ascending, every time strictly before
+the horizon (the mission's end event wins a tie, so a failure at the
+horizon is never processed).  Under RNG stream 2
+(:data:`repro.core.config.RNG_STREAM`) a model with a closed-form law
+draws them directly, never touching the disks that survive the
+mission: the count as ``Binomial(n, F(horizon))``, the disks as a sorted
+uniform subset of ``0..n-1``, and each time by the inverse CDF of the
+law truncated to the horizon.  :class:`ExponentialFailures`
+(``F(h) = 1 - exp(-rate h)``) and :class:`WeibullFailures`
+(``F(h) = 1 - exp(-(h/scale)^shape)``) do; :class:`BathtubFailures` and
+:class:`TraceFailures` keep the per-disk path -- one
+``time_to_failure(rng, disk, 0.0)`` call per disk in disk order, the
+times before the horizon kept.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ __all__ = [
     "WeibullFailures",
     "BathtubFailures",
     "TraceFailures",
-    "initial_failure_times",
     "initial_failures",
 ]
 
@@ -77,11 +86,6 @@ class ExponentialFailures:
     ) -> float:
         del disk_id  # identical, independent disks
         return in_service_since + rng.exponential(1.0 / self.rate)
-
-    def initial_times(self, rng: np.random.Generator, n: int) -> FloatArray:
-        """``n`` initial failure times in one draw (same doubles and
-        generator state as ``n`` scalar draws)."""
-        return rng.exponential(1.0 / self.rate, size=n)
 
     def initial_failures(
         self, rng: np.random.Generator, n: int, horizon: float
@@ -243,23 +247,3 @@ def initial_failures(
     disks = np.flatnonzero(times < horizon)
     return disks, times[disks]
 
-
-def initial_failure_times(
-    model: FailureModel, rng: np.random.Generator, n: int
-) -> FloatArray:
-    """Failure times of disks ``0..n-1`` entering service at time 0.
-
-    Uses the model's ``initial_times`` block when it has one; otherwise
-    makes the ``n`` scalar ``time_to_failure`` calls in disk order.  Either
-    way the stream is consumed exactly as the scalar calls would consume
-    it, so callers stay byte-identical.
-    """
-    initial_times: Callable[[np.random.Generator, int], FloatArray] | None = (
-        getattr(model, "initial_times", None)
-    )
-    if callable(initial_times):
-        return initial_times(rng, n)
-    return np.array(
-        [model.time_to_failure(rng, disk, 0.0) for disk in range(n)],
-        dtype=float,
-    )

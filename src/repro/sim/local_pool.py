@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.config import YEAR
 from .events import EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel, initial_failure_times
+from .failures import ExponentialFailures, FailureModel, initial_failures
 
 __all__ = ["CatastrophicSample", "PoolSimResult", "LocalPoolSimulator"]
 
@@ -137,9 +137,11 @@ class LocalPoolSimulator:
         rng = np.random.default_rng(seed)
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
-        times = initial_failure_times(self.failure_model, rng, self.pool_disks)
-        for disk in np.nonzero(times <= mission_time)[0]:
-            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
+        disks, times = initial_failures(
+            self.failure_model, rng, self.pool_disks, mission_time
+        )
+        for disk, t in zip(disks.tolist(), times.tolist()):
+            queue.push(t, EventType.DISK_FAILURE, disk)
 
         failed = 0
         repairing = False
@@ -206,9 +208,11 @@ class LocalPoolSimulator:
         rng = np.random.default_rng(seed)
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
-        times = initial_failure_times(self.failure_model, rng, self.pool_disks)
-        for disk in np.nonzero(times <= mission_time)[0]:
-            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
+        disks, times = initial_failures(
+            self.failure_model, rng, self.pool_disks, mission_time
+        )
+        for disk, t in zip(disks.tolist(), times.tolist()):
+            queue.push(t, EventType.DISK_FAILURE, disk)
 
         failed = 0
         # Outstanding demote work (stripes needing one chunk) per class.

@@ -56,7 +56,7 @@ from ..obs.report import REPAIR_HOURS_BUCKETS
 from ..repair.bandwidth import BandwidthModel
 from ..topology.datacenter import DatacenterTopology
 from .events import Event, EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel, initial_failure_times
+from .failures import ExponentialFailures, FailureModel, initial_failures
 
 __all__ = ["DataLossEvent", "SystemSimResult", "MLECSystemSimulator"]
 
@@ -708,12 +708,12 @@ class MLECSystemSimulator:
         if callable(schedule):
             schedule(queue, mission_time)
 
-        # Initial per-disk failure schedules, in disk order.
-        times = initial_failure_times(
-            self.failure_model, rng, self.topo.total_disks
+        # The disks that fail inside the mission, in disk order.
+        disks, times = initial_failures(
+            self.failure_model, rng, self.topo.total_disks, mission_time
         )
-        for disk in np.nonzero(times <= mission_time)[0]:
-            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
+        for disk, t in zip(disks.tolist(), times.tolist()):
+            queue.push(t, EventType.DISK_FAILURE, disk)
 
         st = _RunState(rng, recorder=recorder, metrics=metrics)
         while True:

@@ -32,7 +32,7 @@ from ..core.scheme import LRCScheme, SLECScheme
 from ..core.types import Level, Placement
 from ..obs import MetricsRegistry, TraceRecorder
 from .events import EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel, initial_failure_times
+from .failures import ExponentialFailures, FailureModel, initial_failures
 
 __all__ = ["SingleLevelSimResult", "SLECSystemSimulator"]
 
@@ -166,9 +166,11 @@ class SLECSystemSimulator:
         queue = EventQueue()
         queue.push(mission_time, EventType.END_OF_MISSION)
 
-        times = initial_failure_times(self.failure_model, rng, dc.total_disks)
-        for disk in np.nonzero(times <= mission_time)[0]:
-            queue.push(float(times[disk]), EventType.DISK_FAILURE, int(disk))
+        disks, times = initial_failures(
+            self.failure_model, rng, dc.total_disks, mission_time
+        )
+        for disk, t in zip(disks.tolist(), times.tolist()):
+            queue.push(t, EventType.DISK_FAILURE, disk)
 
         # Per-pool state: clustered -> count of unrepaired disks;
         # declustered -> damage-class work vector.

@@ -328,10 +328,14 @@ class ScriptedDraws:
 
 def walk(times, draws=(), *, mission=10.0, divisor=1, p_l=3, window=0.5,
          margin=0):
-    """Walk handcrafted initial times: ``(times, disks, reason, drawn)``."""
+    """Walk handcrafted initial times, one per disk, keeping those before
+    the mission end as ``initial_failures`` does:
+    ``(times, disks, reason, drawn)``."""
     rng = ScriptedDraws(draws)
+    times = np.array(times, dtype=float)
+    disks = np.flatnonzero(times < mission)
     chain_t, chain_d, reason = _failure_chain(
-        np.array(times, dtype=float), rng, 1.0, mission, divisor, p_l,
+        disks, times[disks], rng, 1.0, mission, divisor, p_l,
         window, margin=margin,
     )
     return chain_t.tolist(), chain_d.tolist(), reason, rng.drawn
@@ -375,6 +379,8 @@ class TestFailureChainEdgeCases:
         assert walk([1.0, 3.0], divisor=10, p_l=1, window=1.5)[2] is None
 
     def test_failure_at_mission_end_is_not_processed(self):
+        # An initial failure at the mission end never enters the chain
+        # (``initial_failures`` keeps times strictly before the horizon).
         t, d, reason, drawn = walk([2.0, 10.0])
         assert (t, d, reason, drawn) == ([2.0], [0], None, 1)
         # A replacement due exactly at the mission end is not processed
@@ -405,15 +411,17 @@ class TestFailureChainEdgeCases:
         assert len(expected) > 40  # far past the first block of 3 + 4
 
         rng = CountingDraws(np.random.default_rng(9))
+        disks = np.arange(len(initial))
         chain_t, chain_d, reason = _failure_chain(
-            initial, rng, scale, mission, 1, 3, 0.0, margin=4)
+            disks, initial, rng, scale, mission, 1, 3, 0.0, margin=4)
         assert reason is None
         assert len(rng.calls) > 1  # the extension path ran
         assert list(zip(chain_t.tolist(), chain_d.tolist())) == expected
 
         # Without a margin the walk consumes exactly the scalar stream.
         rng = np.random.default_rng(9)
-        _failure_chain(initial, rng, scale, mission, 1, 3, 0.0, margin=0)
+        _failure_chain(
+            disks, initial, rng, scale, mission, 1, 3, 0.0, margin=0)
         assert rng.bit_generator.state == scalar.bit_generator.state
 
 

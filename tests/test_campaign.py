@@ -62,9 +62,20 @@ class TestCampaign:
         assert report.total_invariant_violations == 0
         assert report.total_events_checked > 10_000
 
-    def test_rack_outage_hits_cc_harder_than_dd(self, report):
+    def test_rack_outage_hits_cc_harder_than_dd(self):
         """The paper's qualitative claim: clustered/clustered co-stripes
-        whole rack groups, so correlated rack loss costs it the most."""
+        whole rack groups, so correlated rack loss costs it the most.
+
+        The two PDLs are about 0.42 and 0.32, so five trials order them
+        barely better than a coin flip; 200 paired trials put the gap
+        more than two standard errors clear.  The invariant audit is
+        covered by the shared campaign above and stays off here."""
+        rack_outage = [s for s in standard_scenarios()
+                       if s.name == "rack-outage"]
+        report = ChaosCampaign(
+            schemes=("C/C", "D/D"), trials=200, scenarios=rack_outage,
+            check_invariants=False,
+        ).run(seed=0)
         cc = report.cell("rack-outage", "C/C")
         dd = report.cell("rack-outage", "D/D")
         assert cc.pdl > dd.pdl
@@ -154,15 +165,15 @@ class TestGoldenArtifacts:
     results are unchanged by work on the checker or the initial draws."""
 
     REPORT_SHA256 = (
-        "d91efe772df9eb9d403659562a2b16bd74958115fb5ef232864377a7cdd1633b"
+        "6e088e639ccee53b11298324e1f406afbd405b6ce13731aecfb22589aa675261"
     )
     TRACE_SHA256 = (
-        "bb066b5b83555979650a7416af05edd42810e2ab45abf7bf3d9208d39af04f5c"
+        "1cdf34dfe01584ab8a50873a62248d640fff88e67b9addfc8064f51cb84c5526"
     )
 
     def test_report_and_audit_counts_are_pinned(self):
         report = ChaosCampaign(trials=2).run(seed=7)
-        assert report.total_events_checked == 19_037
+        assert report.total_events_checked == 19_601
         assert report.total_invariant_violations == 0
         blob = (
             f"{report.to_text()}\n{report.total_events_checked}\n"

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.core.config import DAY, HOUR, PAPER_MLEC
+from repro.core.config import DAY, HOUR, PAPER_MLEC, YEAR
 from repro.core.scheme import mlec_scheme_from_name
 from repro.core.types import RepairMethod
 from repro.faults import (
@@ -21,10 +21,10 @@ from repro.faults import (
 )
 from repro.sim.events import Event, EventQueue, EventType
 from repro.sim.failures import (
+    BathtubFailures,
     ExponentialFailures,
     TraceFailures,
-    WeibullFailures,
-    initial_failure_times,
+    initial_failures,
 )
 from repro.sim.simulator import MLECSystemSimulator, _PoolState
 
@@ -140,27 +140,50 @@ class TestFaultInjector:
         assert len(queue) == 0
 
 
-def _scalar_initial_times(model, rng, n):
-    return np.array([model.time_to_failure(rng, d, 0.0) for d in range(n)])
+def _merged_reference(injector, seed, n, horizon):
+    """The injector's contract spelled out disk by disk: the base model's
+    in-horizon pairs, every permanent outage inside ``(0, horizon)``
+    clipping each disk of its range to ``min(t, when)``."""
+    disks, times = initial_failures(
+        injector.base, np.random.default_rng(seed), n, horizon)
+    fail = dict(zip(disks.tolist(), times.tolist()))
+    for fault in injector.faults:
+        outage = isinstance(fault, (RackOutage, EnclosureOutage))
+        if outage and fault.permanent and 0 < fault.time < horizon:
+            for disk in range(*injector._disk_range(fault)):
+                fail[disk] = min(fail.get(disk, math.inf), fault.time)
+    order = sorted(fail)
+    return order, [fail[d] for d in order]
 
 
 class TestInitialTimes:
-    """``initial_times`` is the scalar ``time_to_failure`` loop as one
-    block: the same doubles, bit for bit, and the same generator state."""
+    """``initial_failures`` on a :class:`FaultInjector`: the base model's
+    in-horizon ``(disks, times)`` pairs merged with the permanent
+    outages, disks ascending, times before the horizon."""
 
-    def _assert_block_matches_scalar(self, model, seed=5):
+    def _assert_pairs_match_contract(self, model, horizon=YEAR, seed=5):
         n = DC.total_disks
-        block_rng = np.random.default_rng(seed)
-        scalar_rng = np.random.default_rng(seed)
-        block = initial_failure_times(model, block_rng, n)
-        scalar = _scalar_initial_times(model, scalar_rng, n)
-        assert block.dtype == np.float64 and block.shape == (n,)
-        assert block.tobytes() == scalar.tobytes()
-        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
-        return block
+        rng = np.random.default_rng(seed)
+        disks, times = initial_failures(model, rng, n, horizon)
+        assert disks.dtype == np.int64 and times.dtype == np.float64
+        assert (np.diff(disks) > 0).all()
+        assert ((0 <= times) & (times < horizon)).all()
+        if isinstance(model, FaultInjector):
+            assert (disks.tolist(), times.tolist()) == _merged_reference(
+                model, seed, n, horizon)
+            # The outages consume no draws: the stream is the base's.
+            base_rng = np.random.default_rng(seed)
+            initial_failures(model.base, base_rng, n, horizon)
+            assert rng.bit_generator.state == base_rng.bit_generator.state
+        return disks, times
 
     def test_exponential(self):
-        self._assert_block_matches_scalar(ExponentialFailures(0.3))
+        base = ExponentialFailures(0.3)
+        disks, times = self._assert_pairs_match_contract(base)
+        injector = FaultInjector(base=base, dc=DC)
+        d2, t2 = self._assert_pairs_match_contract(injector)
+        assert d2.tobytes() == disks.tobytes()
+        assert t2.tobytes() == times.tobytes()
 
     def test_injector_clips_permanent_outages_after_time_zero(self):
         injector = FaultInjector(
@@ -170,16 +193,34 @@ class TestInitialTimes:
                 RackOutage(time=3 * DAY, rack=1),  # overlapping, later
                 EnclosureOutage(time=DAY, rack=3, enclosure=0),
                 RackOutage(time=DAY, rack=5, duration=HOUR),  # transient
+                RackOutage(time=3 * DAY, rack=7),
             ),
             dc=DC,
         )
-        block = self._assert_block_matches_scalar(injector)
         per_rack = DC.disks_per_rack
-        rack1 = block[per_rack:2 * per_rack]
-        assert (rack1 <= 2 * DAY).all() and (rack1 == 2 * DAY).sum() > 100
-        rack3 = block[3 * per_rack:4 * per_rack]
-        assert (rack3 <= DAY).all() and (rack3 == DAY).sum() > 100
-        assert not (block[5 * per_rack:6 * per_rack] == DAY).any()
+        per_enclosure = DC.disks_per_enclosure
+
+        def rack(disks, times, r, first=0, size=per_rack):
+            inside = (disks >= r * per_rack + first) & (
+                disks < r * per_rack + first + size)
+            return disks[inside], times[inside]
+
+        disks, times = self._assert_pairs_match_contract(injector)
+        d1, t1 = rack(disks, times, 1)
+        assert len(d1) == per_rack  # every disk of the rack fails
+        assert (t1 <= 2 * DAY).all() and (t1 == 2 * DAY).sum() > 100
+        d3, t3 = rack(disks, times, 3, size=per_enclosure)
+        assert len(d3) == per_enclosure
+        assert (t3 <= DAY).all() and (t3 == DAY).sum() > 100
+        _d, t5 = rack(disks, times, 5)
+        assert len(t5) < per_rack and not (t5 == DAY).any()
+
+        # Clipped to the horizon: an outage at or past it adds no disk.
+        disks, times = self._assert_pairs_match_contract(
+            injector, horizon=3 * DAY)
+        d7, _t = rack(disks, times, 7)
+        assert len(d7) < per_rack // 10  # only the base's failures
+        assert len(rack(disks, times, 1)[0]) == per_rack
 
     def test_injector_outage_at_time_zero_does_not_clip(self):
         injector = FaultInjector(
@@ -187,28 +228,38 @@ class TestInitialTimes:
             faults=(RackOutage(time=0.0, rack=2),),
             dc=DC,
         )
-        block = self._assert_block_matches_scalar(injector)
-        base = ExponentialFailures(0.5).initial_times(
-            np.random.default_rng(5), DC.total_disks
+        disks, times = self._assert_pairs_match_contract(injector)
+        base_d, base_t = initial_failures(
+            ExponentialFailures(0.5), np.random.default_rng(5),
+            DC.total_disks, YEAR,
         )
-        assert block.tobytes() == base.tobytes()
+        assert disks.tobytes() == base_d.tobytes()
+        assert times.tobytes() == base_t.tobytes()
 
     def test_injector_over_base_without_vector_form(self):
-        base = WeibullFailures(shape=0.7, scale_years=2.0)
-        assert not hasattr(base, "initial_times")
+        base = BathtubFailures()
+        assert not hasattr(base, "initial_failures")
         injector = FaultInjector(
             base=base, faults=(RackOutage(time=DAY, rack=0),), dc=DC
         )
-        block = self._assert_block_matches_scalar(injector)
-        assert (block[:DC.disks_per_rack] <= DAY).all()
-        self._assert_block_matches_scalar(base)
+        disks, times = self._assert_pairs_match_contract(injector)
+        assert disks[:DC.disks_per_rack].tolist() == list(
+            range(DC.disks_per_rack))
+        assert (times[:DC.disks_per_rack] <= DAY).all()
+        self._assert_pairs_match_contract(base)
 
     def test_trace_model_keeps_never_failing_disks_infinite(self):
-        block = self._assert_block_matches_scalar(
-            TraceFailures([(5.0, 1), (7.0, 1), (9.0, 3)])
+        """Disks the trace never fails stay out of the pairs, unless a
+        permanent outage takes them."""
+        injector = FaultInjector(
+            base=TraceFailures([(5.0, 1), (7.0, 1), (9.0, 3)]),
+            faults=(RackOutage(time=DAY, rack=2),),
+            dc=DC,
         )
-        assert block[1] == 5.0 and block[3] == 9.0
-        assert np.isinf(block[0])
+        disks, times = self._assert_pairs_match_contract(injector)
+        per_rack = DC.disks_per_rack
+        assert disks.tolist() == [1, 3, *range(2 * per_rack, 3 * per_rack)]
+        assert times.tolist() == [5.0, 9.0] + [DAY] * per_rack
 
 
 class TestTransientOutage:

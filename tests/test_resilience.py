@@ -17,6 +17,7 @@ import pytest
 from test_service import _daemon_env, _group_survivors, _kill_group
 
 from repro.cli import main
+from repro.core.config import RNG_STREAM
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.runtime import (
     CheckpointError,
@@ -296,6 +297,26 @@ class TestCheckpointRoundTrip:
         resumed = ResilientRunner(workers=1, checkpoint=ck, resume=True)
         with pytest.raises(CheckpointError, match="seed"):
             resumed.run(_value_trial, 8, seed=999)
+
+    def test_other_rng_stream_refused(self, tmp_path):
+        """A journal recorded under another draw order -- here one from
+        before the header carried ``rng_stream`` -- is refused loudly
+        rather than mixing its chunks with this stream's."""
+        ck = tmp_path / "ck.jsonl"
+        runner = ResilientRunner(workers=1, chunk_size=2, checkpoint=ck)
+        runner.run(_value_trial, 8, seed=0)
+        runner.close()
+        lines = ck.read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        at = next(i for i, r in enumerate(records) if r["kind"] == "sweep")
+        assert records[at]["data"]["rng_stream"] == RNG_STREAM
+        del records[at]["data"]["rng_stream"]
+        lines[at] = json.dumps(records[at], separators=(",", ":")) + "\n"
+        ck.write_text("".join(lines))
+        resumed = ResilientRunner(workers=1, checkpoint=ck, resume=True)
+        with pytest.raises(CheckpointError, match="rng_stream=None"):
+            resumed.run(_value_trial, 8, seed=0)
+        resumed.close()
 
     def test_library_journal_has_no_argv(self, tmp_path):
         ck = tmp_path / "ck.jsonl"

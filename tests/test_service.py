@@ -112,6 +112,17 @@ class TestSweepSpec:
         assert base.key() != SweepSpec.from_json(
             dict(BURST_SPEC, scheme="D/D")).key()
 
+    def test_key_tracks_rng_stream(self, monkeypatch):
+        """A result cached under another draw order is never served as
+        this build's result."""
+        from repro.service import spec as spec_module
+
+        spec = SweepSpec.from_json(dict(BURST_SPEC))
+        key, job_id = spec.key(), spec.job_id()
+        monkeypatch.setattr(spec_module, "RNG_STREAM", spec_module.RNG_STREAM - 1)
+        assert spec.key() != key
+        assert spec.job_id() != job_id
+
     def test_resolve_matches_journal_fingerprint(self, tmp_path):
         """The dedupe key's fn/args must equal the checkpoint header's."""
         from repro.runtime.resilience import args_digest

@@ -13,20 +13,25 @@ from repro.core.scheme import mlec_scheme_from_name
 from repro.core.types import RepairMethod
 
 
+@pytest.fixture(scope="module")
+def cc_stage1():
+    """One C/C stage-1 run, 1500 pool-years per accelerated AFR."""
+    scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
+    return scheme, stage1_pool_rate(scheme, pool_years_each=1500, seed=2_000_000)
+
+
 class TestStage1:
-    def test_clustered_power_law_exponent(self):
+    def test_clustered_power_law_exponent(self, cc_stage1):
         """The catastrophic rate must scale ~ lambda^(p_l+1) = lambda^4."""
-        scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
-        result = stage1_pool_rate(scheme, pool_years_each=1500, seed=10)
+        _scheme, result = cc_stage1
         assert 3.0 < result.exponent < 5.5
 
-    def test_clustered_rate_extrapolation_order_of_magnitude(self):
+    def test_clustered_rate_extrapolation_order_of_magnitude(self, cc_stage1):
         """Extrapolating ~1.5 decades in lambda: expect agreement with the
         Markov rate within a couple of orders of magnitude (the slope error
         compounds exponentially -- this is the documented limitation that
         motivates the analytic models)."""
-        scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
-        result = stage1_pool_rate(scheme, pool_years_each=1500, seed=10)
+        scheme, result = cc_stage1
         markov = local_pool_reliability_chain(scheme).catastrophic_rate_per_year()
         assert result.rate_at_target > 0
         ratio = result.rate_at_target / markov
