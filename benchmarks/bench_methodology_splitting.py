@@ -19,7 +19,7 @@ def build_figure():
     scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
     chain = local_pool_reliability_chain(scheme)
 
-    stage1 = stage1_pool_rate(scheme, pool_years_each=1200, seed=21)
+    stage1 = stage1_pool_rate(scheme, pool_years_each=1200, seed=5_000_021)
     rows1 = [[p.afr, p.pool_years, p.events, p.rate] for p in stage1.points]
     text = format_table(
         ["accelerated AFR", "pool-years", "events", "rate/pool-yr"],

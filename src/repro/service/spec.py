@@ -281,9 +281,10 @@ class SweepSpec:
         fingerprint the checkpoint journal header carries -- plus the
         collect flags (a traced run produces a different artifact set
         than an untraced one) and the RNG stream version (a cached result
-        of another draw order is not this build's result).  Deliberately excludes ``batch``,
-        ``chunk``, and ``priority``: those change *how* a sweep runs,
-        never a result byte, so they must not fracture the cache.
+        of another draw order is not this build's result).  Deliberately
+        excludes ``batch``, ``chunk``, and ``priority``: those change
+        *how* a sweep runs, never a result byte, so they must not fracture
+        the cache.
         """
         plan = self.resolve()
         ident = {

@@ -446,13 +446,13 @@ def _failure_chain(
     the mission end, as :func:`~repro.sim.failures.initial_failures`
     returns them.  Returns the processed failures' times and disks in
     event order plus a demotion reason (``None`` when the trial is
-    simple).  The scalar
-    event loop processes failures in ``(t, disk)`` order while
-    ``t < mission_time`` and draws one replacement per processed failure
-    (``t + rng.exponential(scale)``), so the k-th processed failure takes
-    the k-th draw of the stream: one block of draws, merged in order,
-    consumes the stream exactly as the sequential calls would.  With
-    ``margin=0`` the walk draws exactly one value per processed failure.
+    simple).  The scalar event loop processes failures in ``(t, disk)``
+    order while ``t < mission_time`` and draws one replacement per
+    processed failure (``t + rng.exponential(scale)``), so the k-th
+    processed failure takes the k-th draw of the stream: one block of
+    draws, merged in order, consumes the stream exactly as the sequential
+    calls would.  With ``margin=0`` the walk draws exactly one value per
+    processed failure.
 
     A trial demotes on an exact time tie between consecutive failures
     (the scalar order then depends on queue sequence numbers) or when a
