@@ -1,56 +1,21 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helper for the figure benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures.  The
-regenerated artifact is printed (visible with ``pytest -s``) *and* written
-to ``benchmarks/results/<name>.txt`` so that a plain
-``pytest benchmarks/ --benchmark-only`` run leaves the full set of
-reproduced tables on disk for EXPERIMENTS.md-style comparison.
-
-Alongside the text artifact, every :func:`once` run emits a
-machine-readable ``BENCH_<name>.json`` record -- wall-clock seconds, trial
-throughput, worker count, per-phase wall times, the process's peak RSS,
-the git SHA, and (when the benchmark collects one) the merged
-:class:`repro.obs.MetricsRegistry` snapshot.  The record
-is written twice: under ``benchmarks/results/`` (gitignored scratch, CI
-uploads it as a workflow artifact) and at the repository root, which *is*
-tracked -- that copy is how the perf trajectory accumulates across
-commits.
-
-Environment knobs for CI smoke runs:
-
-* ``MLEC_BENCH_TRIALS`` -- overrides the trial count of benchmarks that
-  opt in via :func:`scaled_trials` (smaller = faster smoke run).
-* ``MLEC_BENCH_WORKERS`` -- worker-process count for benchmarks that fan
-  trials out through :class:`repro.runtime.TrialRunner` (results are
-  worker-count-independent, so this only changes the timing).
-* ``MLEC_BENCH_BATCH`` -- batch-engine mode (``auto``/``on``/``off``)
-  for benchmarks that fan out through a runner (results are
-  batch-mode-independent; this only changes the timing).
+Every benchmark regenerates one of the paper's tables or figures and
+asserts the claims EXPERIMENTS.md records for it.  The regenerated
+artifact is printed (visible with ``pytest -s``) *and* written to
+``benchmarks/results/<name>.txt`` so that a plain ``pytest benchmarks -q``
+run leaves the full set of reproduced tables on disk for
+EXPERIMENTS.md-style comparison.  Timing is perfbench's job (see
+``perfbench/README.md``), not this harness's.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-Unix platforms
-    resource = None  # type: ignore[assignment]
-
 from repro.core.atomic import atomic_write_text
-from repro.obs import MetricsRegistry
-from repro.runtime import TrialRunner
 
 RESULTS_DIR = Path(__file__).parent / "results"
-#: Repository root: BENCH_*.json copies written here are git-tracked
-#: (benchmarks/results/ is ignored), so the perf trajectory survives.
-ROOT_DIR = Path(__file__).parent.parent
 
 
 def emit(name: str, text: str) -> None:
@@ -58,214 +23,3 @@ def emit(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
     print(f"\n{text}")
-
-
-def scaled_trials(default: int) -> int:
-    """Benchmark trial count, overridable via ``MLEC_BENCH_TRIALS``."""
-    override = os.environ.get("MLEC_BENCH_TRIALS", "").strip()
-    return max(1, int(override)) if override else default
-
-
-def bench_workers() -> int:
-    """Worker count for parallel benchmarks (``MLEC_BENCH_WORKERS``)."""
-    override = os.environ.get("MLEC_BENCH_WORKERS", "").strip()
-    return max(1, int(override)) if override else 1
-
-
-def bench_batch() -> str:
-    """Batch-engine mode for runner benchmarks (``MLEC_BENCH_BATCH``)."""
-    override = os.environ.get("MLEC_BENCH_BATCH", "").strip()
-    if override and override not in ("auto", "on", "off"):
-        raise ValueError(
-            f"MLEC_BENCH_BATCH must be auto/on/off, got {override!r}"
-        )
-    return override or "auto"
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (0 if unknown).
-
-    A benchmark that got faster by doubling its working set is not an
-    unqualified win; recording the high-water mark alongside the timing
-    lets the perf trajectory catch memory-for-speed trades.
-    """
-    if resource is None:  # pragma: no cover - non-Unix platforms
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # getrusage(2) divergence: Linux reports KiB, macOS reports bytes.
-    return int(peak) * (1 if sys.platform == "darwin" else 1024)
-
-
-class PhaseTimer:
-    """Named wall-clock phases of one benchmark run.
-
-    ``once`` always records the ``run`` (measured callable) and
-    ``report`` (runner-telemetry collection) phases; a
-    benchmark with interesting internal structure can pass its own
-    timer and wrap setup/compute/render sections in :meth:`phase` --
-    repeated phase names accumulate.
-    """
-
-    def __init__(self) -> None:
-        self._phases: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._phases[name] = self._phases.get(name, 0.0) + elapsed
-
-    def snapshot(self) -> dict[str, float]:
-        """Phase name -> accumulated seconds, insertion-ordered."""
-        return dict(self._phases)
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except Exception:
-        return "unknown"
-
-
-#: Recovery counters recorded next to ``workers`` in every BENCH record.
-#: Always present (zeroed) so trajectory tooling can diff them without
-#: per-record existence checks.
-_RECOVERY_COUNTERS = ("chunk_retries", "pool_rebuilds", "steals")
-
-
-def runner_telemetry(
-    runner: TrialRunner,
-) -> tuple[str, dict[str, int], dict[str, object]]:
-    """``(backend, recovery, batch)`` facts of a benchmark's runner.
-
-    ``backend`` is the executor backend's telemetry name (``"local"``,
-    ``"tcp"``); ``recovery`` holds the resilience counters
-    (:data:`_RECOVERY_COUNTERS`) from the runner's ops metrics; ``batch``
-    records the batch-engine mode plus how many trials ran vectorized vs.
-    demoted to the scalar loop (``sim.batch_*`` ops counters).
-    """
-    recovery = dict.fromkeys(_RECOVERY_COUNTERS, 0)
-    batch: dict[str, object] = {
-        "mode": getattr(runner, "batch", "off"),
-        "batched": 0,
-        "demoted": 0,
-    }
-    ops = getattr(runner, "ops_metrics", None)
-    if ops is not None:
-        counters = ops.snapshot()["counters"]
-        for key in _RECOVERY_COUNTERS:
-            value = counters.get(f"runtime.{key}", 0)
-            recovery[key] = int(value) if isinstance(value, (int, float)) else 0
-        for key, counter in (
-            ("batched", "sim.batch_trials"),
-            ("demoted", "sim.batch_demotions"),
-        ):
-            value = counters.get(counter, 0)
-            batch[key] = int(value) if isinstance(value, (int, float)) else 0
-    return runner.backend_name, recovery, batch
-
-
-def emit_bench(
-    name: str,
-    *,
-    seconds: float,
-    trials: int | None = None,
-    workers: int = 1,
-    backend: str = "local",
-    recovery: dict[str, int] | None = None,
-    batch: dict[str, object] | None = None,
-    phases: dict[str, float] | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> None:
-    """Persist one machine-readable benchmark telemetry record.
-
-    The record lands both in ``benchmarks/results/`` and at the repo root
-    (the tracked copy); ``metrics``, if given, is folded in as its
-    deterministic snapshot.  ``backend``/``recovery`` record which
-    executor backend ran the trials and what recovery work (retries,
-    pool rebuilds, steals) it needed -- a benchmark that quietly
-    recovered from worker crashes times very different code than a clean
-    run, and the trajectory should say so.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    record = {
-        "name": name,
-        "wall_clock_seconds": seconds,
-        "trials": trials,
-        "trials_per_second": (
-            trials / seconds if trials is not None and seconds > 0 else None
-        ),
-        "workers": workers,
-        "backend": backend,
-        "recovery": dict.fromkeys(_RECOVERY_COUNTERS, 0) | (recovery or {}),
-        "batch": {"mode": "off", "batched": 0, "demoted": 0} | (batch or {}),
-        "phases": {k: float(v) for k, v in (phases or {}).items()},
-        "rss_peak_bytes": peak_rss_bytes(),
-        "git_sha": _git_sha(),
-        "unix_time": time.time(),
-    }
-    if metrics is not None and metrics:
-        record["metrics"] = metrics.snapshot()
-    payload = json.dumps(record, indent=2) + "\n"
-    for directory in (RESULTS_DIR, ROOT_DIR):
-        # Atomic so a benchmark killed mid-write never leaves a truncated
-        # telemetry record for the CI perf trajectory to trip over.
-        atomic_write_text(directory / f"BENCH_{name}.json", payload)
-
-
-def once(
-    benchmark,
-    fn,
-    *,
-    trials: int | None = None,
-    workers: int = 1,
-    runner: TrialRunner | None = None,
-    metrics: MetricsRegistry | None = None,
-    phases: PhaseTimer | None = None,
-):
-    """Run an expensive experiment exactly once under pytest-benchmark.
-
-    The interesting output of these benchmarks is the regenerated figure,
-    not a statistically tight timing distribution; one round keeps the
-    whole harness fast while still recording wall-clock cost.  The timing
-    (plus ``trials``/``workers``/``metrics`` metadata when the caller
-    supplies them) lands in ``BENCH_<name>.json`` for the CI perf
-    trajectory.  Pass the ``runner`` the experiment fanned out through
-    and its backend name and recovery counters are recorded too --
-    captured *after* ``fn`` ran, so they reflect this run's facts.
-    """
-    timer = phases if phases is not None else PhaseTimer()
-    start = time.perf_counter()
-    with timer.phase("run"):
-        result = benchmark.pedantic(fn, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    name = getattr(benchmark, "name", None) or getattr(fn, "__name__", "bench")
-    name = name.removeprefix("test_")
-    with timer.phase("report"):
-        backend, recovery, batch = (
-            runner_telemetry(runner)
-            if runner is not None
-            else ("local", None, None)
-        )
-    emit_bench(
-        name,
-        seconds=elapsed,
-        trials=trials,
-        workers=workers,
-        backend=backend,
-        recovery=recovery,
-        batch=batch,
-        phases=timer.snapshot(),
-        metrics=metrics,
-    )
-    return result

@@ -9,7 +9,7 @@ even a 4x-worse fleet keeps tens of nines.
 
 import math
 
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.analysis.durability import mlec_durability_nines
@@ -41,8 +41,8 @@ def build_figure():
     return results, text
 
 
-def test_ablation_afr(benchmark):
-    results, text = once(benchmark, build_figure)
+def test_ablation_afr():
+    results, text = build_figure()
     emit("ablation_afr", text)
 
     for nines in results.values():
@@ -62,23 +62,19 @@ def test_ablation_afr(benchmark):
     assert all(cd > cc for cd, cc in zip(results["C/D"], results["C/C"]))
 
 
-def test_afr_slope_matches_chain_structure(benchmark):
+def test_afr_slope_matches_chain_structure():
     """The 0.5% -> 4% slope in log-log space stays near the theoretical
     compound exponent of the two-level chain."""
-    def slopes():
-        scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
-        out = []
-        for a, b in zip(AFRS, AFRS[1:]):
-            na = mlec_durability_nines(
-                scheme, RepairMethod.R_MIN,
-                failures=FailureConfig(annual_failure_rate=a))
-            nb = mlec_durability_nines(
-                scheme, RepairMethod.R_MIN,
-                failures=FailureConfig(annual_failure_rate=b))
-            out.append((na - nb) / math.log10(b / a))
-        return out
-
-    values = once(benchmark, slopes)
+    scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
+    values = []
+    for a, b in zip(AFRS, AFRS[1:]):
+        na = mlec_durability_nines(
+            scheme, RepairMethod.R_MIN,
+            failures=FailureConfig(annual_failure_rate=a))
+        nb = mlec_durability_nines(
+            scheme, RepairMethod.R_MIN,
+            failures=FailureConfig(annual_failure_rate=b))
+        values.append((na - nb) / math.log10(b / a))
     # Each doubling's slope: between the local-pool exponent (~4 per
     # decade) and the full two-level exponent; and roughly constant.
     for s in values:

@@ -8,7 +8,7 @@ dominates (mirroring §4.2.3 Finding 3's bottleneck argument).
 """
 
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.analysis.durability import mlec_durability_nines
@@ -50,8 +50,8 @@ def build_figure():
     return results, text
 
 
-def test_ablation_bandwidth(benchmark):
-    results, text = once(benchmark, build_figure)
+def test_ablation_bandwidth():
+    results, text = build_figure()
     emit("ablation_bandwidth", text)
 
     # Repair times scale exactly inversely with the cap.

@@ -5,7 +5,7 @@ detection delay and speculates about 1-minute detection.  This ablation
 sweeps the delay and shows which schemes are detection-bound.
 """
 
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.analysis.durability import lrc_durability_nines, mlec_durability_nines
@@ -45,8 +45,8 @@ def build_figure():
     return results, text
 
 
-def test_ablation_detection_time(benchmark):
-    results, text = once(benchmark, build_figure)
+def test_ablation_detection_time():
+    results, text = build_figure()
     emit("ablation_detection_time", text)
 
     # Durability never improves with slower detection.

@@ -7,7 +7,7 @@ and catastrophic-probability consequences.
 """
 
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod
 from repro.analysis.markov import system_catastrophic_probability
@@ -49,8 +49,8 @@ def build_figure():
     return results, cc_h, text
 
 
-def test_ablation_pool_size(benchmark):
-    results, cc_hours, text = once(benchmark, build_figure)
+def test_ablation_pool_size():
+    results, cc_hours, text = build_figure()
     emit("ablation_pool_size", text)
 
     repair_hours = [results[d][0] for d in POOL_SIZES]

@@ -5,7 +5,7 @@ capacity per disk (max available / average sold) -- from the transcribed
 dataset and checks the motivating growth trends.
 """
 
-from _harness import emit, once
+from _harness import emit
 
 from repro.datasets.scaling import storage_scaling_table
 from repro.reporting import format_table
@@ -32,8 +32,8 @@ def build_figure():
     return table, text
 
 
-def test_fig01_storage_scaling(benchmark):
-    table, text = once(benchmark, build_figure)
+def test_fig01_storage_scaling():
+    table, text = build_figure()
     emit("fig01_storage_scaling", text)
     # Paper's motivation: both fleet sizes and disk capacities keep growing.
     assert table["Backblaze"].at(2022) > 200  # ~202k disks

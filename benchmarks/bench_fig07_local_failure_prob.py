@@ -7,7 +7,7 @@ accelerated local-pool simulator (the simulation leg of the methodology).
 
 import numpy as np
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, mlec_scheme_from_name
 from repro.analysis.markov import (
@@ -67,8 +67,8 @@ def build_figure():
     return probs, events / 400, chain.catastrophic_rate_per_year(), text + "\n" + check
 
 
-def test_fig07_local_failure_prob(benchmark):
-    probs, sim_rate, markov_rate, text = once(benchmark, build_figure)
+def test_fig07_local_failure_prob():
+    probs, sim_rate, markov_rate, text = build_figure()
     emit("fig07_local_failure_prob", text)
 
     # Paper: */c 'lower than 0.001%' = 1e-5; */d 'almost 0.00001%' = 1e-7.

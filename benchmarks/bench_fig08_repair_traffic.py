@@ -6,7 +6,7 @@ local pool (p_l+1 simultaneous disk failures) and pins the paper's numbers:
 """
 
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.repair import CatastrophicRepairModel
@@ -35,8 +35,8 @@ def build_figure():
     return traffic, text
 
 
-def test_fig08_repair_traffic(benchmark):
-    traffic, text = once(benchmark, build_figure)
+def test_fig08_repair_traffic():
+    traffic, text = build_figure()
     emit("fig08_repair_traffic", text)
 
     # F#1: R_ALL is the worst -- 4,400 TB on */c, 26,400 TB on */d.

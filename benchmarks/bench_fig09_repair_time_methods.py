@@ -5,7 +5,7 @@ under every method/scheme combination and pins Findings 1-3 of §4.2.2.
 """
 
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.repair import CatastrophicRepairModel
@@ -35,8 +35,8 @@ def build_figure():
     return times, text
 
 
-def test_fig09_repair_time_methods(benchmark):
-    times, text = once(benchmark, build_figure)
+def test_fig09_repair_time_methods():
+    times, text = build_figure()
     emit("fig09_repair_time_methods", text)
 
     for name in SCHEMES:

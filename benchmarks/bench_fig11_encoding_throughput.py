@@ -6,7 +6,7 @@ at a few corners to verify the functional shape on real hardware.
 """
 
 import numpy as np
-from _harness import emit, once
+from _harness import emit
 
 from repro.codes.throughput import IsalThroughputModel, measure_encoding_throughput
 from repro.core.config import GB, SLECParams
@@ -48,8 +48,8 @@ def build_figure():
     return grid, measured, text
 
 
-def test_fig11_encoding_throughput(benchmark):
-    grid, measured, text = once(benchmark, build_figure)
+def test_fig11_encoding_throughput():
+    grid, measured, text = build_figure()
     emit("fig11_encoding_throughput", text)
 
     # Shape: throughput decreases along both axes.

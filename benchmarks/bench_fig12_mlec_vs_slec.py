@@ -4,7 +4,7 @@ Regenerates both panels -- (a) C/C vs clustered SLECs, (b) C/D vs
 declustered SLECs -- as Pareto-front tables and pins §5.1.2 Findings 1-2.
 """
 
-from _harness import emit, once
+from _harness import emit
 
 from repro.analysis.tradeoff import mlec_tradeoff, pareto_front, slec_tradeoff
 from repro.core.types import Level, Placement
@@ -33,8 +33,8 @@ def build_figure():
     return panels, "\n\n".join(sections)
 
 
-def test_fig12_mlec_vs_slec(benchmark):
-    panels, text = once(benchmark, build_figure)
+def test_fig12_mlec_vs_slec():
+    panels, text = build_figure()
     emit("fig12_mlec_vs_slec", text)
 
     # F#1: within every family, max-durability config is not max-throughput.

@@ -7,7 +7,7 @@ amplifies each weakness.
 """
 
 import numpy as np
-from _harness import emit, once
+from _harness import emit
 
 from repro.analysis.burst_dp import slec_burst_pdl
 from repro.core.config import SLECParams
@@ -54,8 +54,8 @@ def build_figure():
     return grids, {r[0]: (r[1], r[2]) for r in dp_rows}, "\n\n".join(sections)
 
 
-def test_fig13_slec_burst_pdl(benchmark):
-    grids, dp, text = once(benchmark, build_figure)
+def test_fig13_slec_burst_pdl():
+    grids, dp, text = build_figure()
     emit("fig13_slec_burst_pdl", text)
 
     # Local SLEC: susceptible to localized bursts, safe when scattered.

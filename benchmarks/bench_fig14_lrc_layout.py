@@ -7,7 +7,7 @@ validates the structural contrasts of §5.2.1 (a)-(c) computationally.
 
 import numpy as np
 import pytest
-from _harness import emit, once
+from _harness import emit
 
 from repro.codes import AzureLRC, MLECCodec
 from repro.reporting import format_table
@@ -34,8 +34,8 @@ def build_figure():
     return lrc, text
 
 
-def test_fig14_lrc_layout(benchmark):
-    lrc, text = once(benchmark, build_figure)
+def test_fig14_lrc_layout():
+    lrc, text = build_figure()
     emit("fig14_lrc_layout", text)
 
     rng = np.random.default_rng(0)

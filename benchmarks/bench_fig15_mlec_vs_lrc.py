@@ -4,7 +4,7 @@ Regenerates the two scatter families at ~30% parity overhead and pins
 §5.2.2 Findings 1-2.
 """
 
-from _harness import emit, once
+from _harness import emit
 
 from repro.analysis.tradeoff import lrc_tradeoff, mlec_tradeoff, pareto_front
 from repro.reporting import format_table
@@ -26,8 +26,8 @@ def build_figure():
     return cd, lrc, "\n\n".join(sections)
 
 
-def test_fig15_mlec_vs_lrc(benchmark):
-    cd, lrc, text = once(benchmark, build_figure)
+def test_fig15_mlec_vs_lrc():
+    cd, lrc, text = build_figure()
     emit("fig15_mlec_vs_lrc", text)
 
     def best_throughput_above(points, nines):

@@ -7,7 +7,7 @@ floor.
 """
 
 import numpy as np
-from _harness import emit, once
+from _harness import emit
 
 from repro.core.config import LRCParams
 from repro.core.scheme import LRCScheme
@@ -28,8 +28,8 @@ def build_figure():
     return evaluator, grid, text
 
 
-def test_fig16_lrc_burst_pdl(benchmark):
-    evaluator, grid, text = once(benchmark, build_figure)
+def test_fig16_lrc_burst_pdl():
+    evaluator, grid, text = build_figure()
     emit("fig16_lrc_burst_pdl", text)
 
     # Guaranteed floor: any r+1 = 5 failures are recoverable, so columns

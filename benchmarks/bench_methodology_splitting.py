@@ -6,7 +6,7 @@ power-law extrapolation -> boosted network-level injection) for C/C and
 compares the resulting durability against the analytic Markov result.
 """
 
-from _harness import emit, once
+from _harness import emit
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.analysis.durability import mlec_durability_nines
@@ -53,8 +53,8 @@ def build_figure():
     return stage1, comparisons, text
 
 
-def test_methodology_splitting(benchmark):
-    stage1, comparisons, text = once(benchmark, build_figure)
+def test_methodology_splitting():
+    stage1, comparisons, text = build_figure()
     emit("methodology_splitting", text)
 
     # The simulated power law matches the chain structure (p_l + 1).

@@ -1,30 +1,26 @@
-"""Full-system simulator throughput: one simulated quarter at paper scale.
+"""Full-system simulator: one simulated quarter at paper scale.
 
-Times the event-driven simulation of the whole 57,600-disk deployment
+Runs the event-driven simulation of the whole 57,600-disk deployment
 (the paper's headline artifact) and validates its aggregate statistics.
 """
 
 import numpy as np
 from _harness import emit
-from _harness import once
 
 from repro import PAPER_MLEC, RepairMethod, mlec_scheme_from_name
 from repro.core.config import YEAR
-from repro.obs import MetricsRegistry
 from repro.reporting import format_table
 from repro.sim.simulator import MLECSystemSimulator
-
-METRICS = MetricsRegistry()
 
 
 def run_quarter():
     scheme = mlec_scheme_from_name("C/D", PAPER_MLEC)
     sim = MLECSystemSimulator(scheme, RepairMethod.R_MIN)
-    return sim.run(mission_time=YEAR / 4, seed=99, metrics=METRICS)
+    return sim.run(mission_time=YEAR / 4, seed=99)
 
 
-def test_system_simulator_quarter(benchmark):
-    result = once(benchmark, run_quarter, trials=1, metrics=METRICS)
+def test_system_simulator_quarter():
+    result = run_quarter()
     text = format_table(
         ["metric", "value"],
         [

@@ -1,7 +1,7 @@
 """Atomic result-file writes: write-temp-then-rename with fsync.
 
 Every results artifact this repository leaves on disk -- ``--trace``
-JSONL streams, ``--metrics`` snapshots, ``BENCH_<name>.json`` telemetry
+JSONL streams, ``--metrics`` snapshots, service ``result.json`` files
 -- must survive the writer being killed at any instant: an interrupted
 run that leaves a truncated JSON file behind poisons every later
 consumer (resume paths, CI ``cmp`` gates, trace reports).  The fix is

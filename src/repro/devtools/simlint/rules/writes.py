@@ -1,7 +1,7 @@
 """SL008 atomic-result-write: results files are written atomically.
 
 Results artifacts -- ``*.json`` metrics snapshots, ``*.jsonl`` trace
-streams, ``BENCH_*.json`` telemetry -- are consumed by resume paths,
+streams, service ``result.json`` files -- are consumed by resume paths,
 trace reports, and CI byte-comparison gates.  A plain ``open(path, "w")``
 or ``Path.write_text`` truncates the target *before* the new bytes land,
 so a writer killed mid-write (the exact failure the resilience layer is
