@@ -33,13 +33,11 @@ byte-identical to a single-host run in every case.
 from __future__ import annotations
 
 import argparse
-import math
-import re
 import sys
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from .core.config import MLECParams, YEAR
+from .core.config import MLECParams
 from .core.scheme import MLEC_SCHEME_NAMES, MLECScheme, mlec_scheme_from_name
 from .core.tolerance import mlec_tolerance
 from .core.types import RepairMethod
@@ -50,20 +48,13 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "parse_mlec_code"]
 
-_CODE_RE = re.compile(
-    r"^\(?(\d+)\+(\d+)\)?/\(?(\d+)\+(\d+)\)?$"
-)
-
 
 def parse_mlec_code(text: str) -> MLECParams:
     """Parse ``kn+pn/kl+pl`` (parentheses optional) into MLECParams."""
-    match = _CODE_RE.match(text.strip())
-    if not match:
-        raise argparse.ArgumentTypeError(
-            f"bad MLEC code {text!r}; expected e.g. 10+2/17+3"
-        )
-    k_n, p_n, k_l, p_l = (int(g) for g in match.groups())
-    return MLECParams(k_n, p_n, k_l, p_l)
+    try:
+        return MLECParams.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_scheme_args(parser: argparse.ArgumentParser) -> None:
@@ -145,14 +136,11 @@ def _make_runner(args: argparse.Namespace) -> ResilientRunner:
     if args.max_retries < 0:
         raise ValueError(f"--max-retries must be >= 0, got {args.max_retries}")
     backend = None
-    spec = getattr(args, "backend", None) or "local"
-    if spec != "local":
+    if args.backend != "local":
         from .runtime.executors import make_backend
 
         backend = make_backend(
-            spec,
-            workers=args.workers,
-            lease_timeout=getattr(args, "lease_timeout", None),
+            args.backend, workers=args.workers, lease_timeout=args.lease_timeout
         )
         if backend is not None:
             backend.start()
@@ -171,7 +159,7 @@ def _make_runner(args: argparse.Namespace) -> ResilientRunner:
         chunk_timeout=args.chunk_timeout,
         argv=getattr(args, "_argv", None),
         backend=backend,
-        batch=getattr(args, "batch", "auto"),
+        batch=args.batch,
     )
 
 
@@ -248,22 +236,19 @@ def _attach_observability(
     from .obs.export import to_openmetrics
 
     closers: list[Callable[[], None]] = []
-    want_line = bool(getattr(args, "progress", False))
-    jsonl_path = getattr(args, "progress_jsonl", None)
-    if want_line or jsonl_path:
+    if args.progress or args.progress_jsonl:
         reporter = ProgressReporter(
-            stream=sys.stderr if want_line else None,
-            jsonl_path=jsonl_path,
+            stream=sys.stderr if args.progress else None,
+            jsonl_path=args.progress_jsonl,
         )
         runner.progress = reporter
         closers.append(reporter.close)
-    port = getattr(args, "metrics_port", None)
-    if port is not None:
+    if args.metrics_port is not None:
         registries = [runner.ops_metrics]
         if metrics is not None:
             registries.append(metrics)
         exporter = MetricsExporter(
-            lambda: to_openmetrics(*registries), port=port
+            lambda: to_openmetrics(*registries), port=args.metrics_port
         )
         host, bound = exporter.start()
         print(
@@ -285,37 +270,66 @@ def _write_ops_trace(args: argparse.Namespace, runner: TrialRunner) -> None:
     Reported on stderr: span counts depend on wall clock and scheduling,
     so stdout must stay byte-identical to an unobserved run.
     """
-    path = getattr(args, "ops_trace", None)
-    if not path:
+    if not args.ops_trace:
         return
-    runner.ops_trace.write_jsonl(path)
+    runner.ops_trace.write_jsonl(args.ops_trace)
     print(
         f"mlec-sim: wrote {len(runner.ops_trace)} ops trace records "
-        f"to {path}",
+        f"to {args.ops_trace}",
         file=sys.stderr,
     )
 
 
-def _make_obs(
+def _run_campaign(
     args: argparse.Namespace,
-) -> tuple[TraceRecorder | None, MetricsRegistry | None]:
-    """Build the telemetry sinks requested via --trace / --metrics."""
+    runner: ResilientRunner,
+    body: Callable[[TraceRecorder | None, MetricsRegistry | None], Any],
+) -> Any:
+    """Run ``body(trace, metrics)`` on ``runner`` under the observability
+    the command line asked for, then write every requested artifact."""
     trace = TraceRecorder() if args.trace else None
     metrics = MetricsRegistry() if args.metrics else None
-    return trace, metrics
-
-
-def _write_obs(
-    args: argparse.Namespace,
-    trace: TraceRecorder | None,
-    metrics: MetricsRegistry | None,
-) -> None:
+    obs_stop = _attach_observability(args, runner, metrics)
+    try:
+        result = body(trace, metrics)
+    finally:
+        obs_stop()
+    _report_recovery(runner)
+    _write_ops_trace(args, runner)
     if trace is not None:
         trace.write_jsonl(args.trace)
         print(f"wrote {len(trace)} trace records to {args.trace}")
     if metrics is not None:
         metrics.write_json(args.metrics)
         print(f"wrote metrics snapshot to {args.metrics}")
+    return result
+
+
+def _run_sweep(args: argparse.Namespace, **fields: Any) -> Any:
+    """Run the sweep a ``burst``/``simulate`` command line denotes.
+
+    The command builds the same :class:`~repro.service.spec.SweepSpec` a
+    ``mlec-sim serve`` job would and executes its resolved plan, so
+    offline and service results come from one definition of the work.
+    """
+    from .service.spec import SweepSpec
+
+    plan = SweepSpec.from_json({
+        "scheme": args.scheme,
+        "code": str(args.code),
+        "trials": args.trials,
+        "seed": args.seed,
+        "batch": args.batch,
+        "collect_metrics": bool(args.metrics),
+        "collect_trace": bool(args.trace),
+        **fields,
+    }).resolve()
+    runner = _make_runner(args)
+    return _run_campaign(
+        args,
+        runner,
+        lambda trace, metrics: plan.execute(runner, metrics=metrics, trace=trace),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -368,23 +382,9 @@ def cmd_burst(args: argparse.Namespace) -> int:
         kind = "exact DP (worst-case declustering)"
         detail = ""
     else:
-        from .sim.burst import MLECBurstEvaluator, burst_pdl_stats
-
-        trace, metrics = _make_obs(args)
-        runner = _make_runner(args)
-        obs_stop = _attach_observability(args, runner, metrics)
-        try:
-            stats = burst_pdl_stats(
-                MLECBurstEvaluator(scheme), args.failures, args.racks,
-                trials=args.trials, seed=args.seed,
-                runner=runner,
-                metrics=metrics, trace=trace,
-            )
-        finally:
-            obs_stop()
-        _report_recovery(runner)
-        _write_ops_trace(args, runner)
-        _write_obs(args, trace, metrics)
+        stats = _run_sweep(
+            args, kind="burst", failures=args.failures, racks=args.racks
+        )
         pdl = stats.mean
         kind = f"Monte-Carlo ({args.trials} trials)"
         detail = f"  95% CI +/- {stats.ci95_halfwidth:.3e}"
@@ -446,32 +446,14 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim.batch import simulate_trial
-
     scheme = _scheme_from(args)
     method = RepairMethod(args.method)
-    mission_time = args.months / 12 * YEAR
-    if math.isnan(mission_time) or math.isinf(mission_time) or mission_time <= 0:
-        raise ValueError(
-            f"mission_time must be a positive number of seconds, "
-            f"got {mission_time!r} ({args.months!r} months)"
-        )
-    trace, metrics = _make_obs(args)
-    runner = _make_runner(args)
-    obs_stop = _attach_observability(args, runner, metrics)
     watch = Stopwatch()
-    try:
-        results = runner.map(
-            simulate_trial, args.trials, seed=args.seed,
-            args=(scheme, method, args.afr, mission_time, args.seed),
-            metrics=metrics, trace=trace,
-        )
-    finally:
-        obs_stop()
+    results = _run_sweep(
+        args, kind="simulate", months=args.months, afr=args.afr,
+        method=args.method,
+    )
     watch.stop()
-    _report_recovery(runner)
-    _write_ops_trace(args, runner)
-    _write_obs(args, trace, metrics)
     if args.trials == 1:
         result = results[0]
         print(f"simulated {args.months} months of {scheme} + {method} "
@@ -556,17 +538,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         schemes=schemes, params=args.code, trials=args.trials,
         scenarios=scenarios, workers=args.workers, runner=runner,
     )
-    trace, metrics = _make_obs(args)
-    obs_stop = _attach_observability(args, runner, metrics)
     watch = Stopwatch()
-    try:
-        report = campaign.run(seed=args.seed, trace=trace, metrics=metrics)
-    finally:
-        obs_stop()
+    report = _run_campaign(
+        args,
+        runner,
+        lambda trace, metrics: campaign.run(
+            seed=args.seed, trace=trace, metrics=metrics
+        ),
+    )
     watch.stop()
-    _report_recovery(runner)
-    _write_ops_trace(args, runner)
-    _write_obs(args, trace, metrics)
     print(report.to_text())
     total_trials = len(report.scenarios) * len(report.schemes) * report.trials
     print(f"elapsed: {watch.summary(total_trials)}")

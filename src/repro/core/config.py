@@ -15,6 +15,7 @@ cap, 1 % AFR, 30-minute failure-detection delay.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 from .types import Seconds
 
@@ -53,6 +54,8 @@ YEAR = 365 * DAY
 #: service's result cache key record it.  Stream 2 draws only the initial
 #: disk failures inside a mission (``repro.sim.failures.initial_failures``).
 RNG_STREAM = 2
+
+_MLEC_CODE_RE = re.compile(r"^\(?(\d+)\+(\d+)\)?/\(?(\d+)\+(\d+)\)?$")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,6 +178,16 @@ class MLECParams:
         if min(self.k_n, self.k_l) <= 0 or min(self.p_n, self.p_l) < 0:
             raise ValueError("k values must be positive, p values non-negative")
 
+    @classmethod
+    def parse(cls, text: str) -> MLECParams:
+        """Parse ``kn+pn/kl+pl`` (parentheses optional; the inverse of
+        ``str``).  Raises ``ValueError``; each front end wraps it in its
+        own error type."""
+        match = _MLEC_CODE_RE.match(text.strip())
+        if match is None:
+            raise ValueError(f"bad MLEC code {text!r}; expected e.g. 10+2/17+3")
+        return cls(*(int(g) for g in match.groups()))
+
     @property
     def n_n(self) -> int:
         """Network stripe width (local stripes per network stripe)."""
@@ -199,7 +212,7 @@ class MLECParams:
         """
         return 1.0 - (self.k_n * self.k_l) / (self.n_n * self.n_l)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"({self.k_n}+{self.p_n})/({self.k_l}+{self.p_l})"
 
 

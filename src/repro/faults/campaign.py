@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -442,27 +441,21 @@ class ChaosCampaign:
         )
         # Root the runner's span tree in a campaign span with a trace id
         # derived from the campaign's structural config (first seeding
-        # wins, so the sweep inherits this identity).  getattr keeps
-        # pre-span custom runners working.
-        spans = getattr(self.runner, "spans", None)
-        if spans is not None:
-            spans.seed_trace(
-                "chaos",
-                seed,
-                len(tasks),
-                ",".join(s.name for s in self.scenarios),
-                ",".join(s.name for s in self.schemes),
-            )
-        with (
-            spans.span(
-                "span.campaign",
-                key=("campaign", seed),
-                scenarios=len(self.scenarios),
-                schemes=len(self.schemes),
-                trials=self.trials,
-            )
-            if spans is not None
-            else nullcontext()
+        # wins, so the sweep inherits this identity).
+        spans = self.runner.spans
+        spans.seed_trace(
+            "chaos",
+            seed,
+            len(tasks),
+            ",".join(s.name for s in self.scenarios),
+            ",".join(s.name for s in self.schemes),
+        )
+        with spans.span(
+            "span.campaign",
+            key=("campaign", seed),
+            scenarios=len(self.scenarios),
+            schemes=len(self.schemes),
+            trials=self.trials,
         ):
             outcomes = self.runner.map(
                 _campaign_trial,

@@ -92,12 +92,7 @@ class ChunkPayload:
     scalar (``None`` otherwise).
     ``host`` is the :func:`worker_label` of wherever the chunk executed
     -- purely operational attribution for the runner's attempt spans,
-    never part of result artifacts.  Payloads unpickled from journals
-    written before these fields existed lack the attribute entirely;
-    readers go through ``getattr(payload, "batch", (0, 0))`` /
-    ``getattr(payload, "batch_fallback_error", None)`` /
-    ``getattr(payload, "batch_demotions", {})`` /
-    ``getattr(payload, "host", None)``.
+    never part of result artifacts.
     """
 
     values: list[Any]

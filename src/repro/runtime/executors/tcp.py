@@ -580,9 +580,8 @@ class TcpWorkQueueBackend:
                 "hi": job.hi,
                 # Span-trace context (observability only): workers echo it
                 # in their result frames, so a wire capture can be joined
-                # with the coordinator's ops trace.  getattr covers jobs
-                # built by pre-span callers.
-                "trace": getattr(job, "trace_id", None),
+                # with the coordinator's ops trace.
+                "trace": job.trace_id,
                 "job": encode_blob(
                     (job.fn, job.children, job.args, job.collect, job.batch)
                 ),

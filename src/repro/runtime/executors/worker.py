@@ -134,10 +134,9 @@ def _serve_coordinator(
                 continue
             try:
                 task_id = int(frame["task"])
-                job = decode_blob(str(frame["job"]))
-                # Pre-batch coordinators ship 4-tuples; tolerate both.
-                fn, children, args, collect = job[:4]
-                batch = job[4] if len(job) > 4 else "off"
+                fn, children, args, collect, batch = decode_blob(
+                    str(frame["job"])
+                )
             except (KeyError, TypeError, ValueError):
                 return 1
             result: ChunkResult = run_chunk(
@@ -150,8 +149,7 @@ def _serve_coordinator(
                         "t": "result",
                         "task": task_id,
                         # Echo the lease's span-trace context so both
-                        # directions of the wire carry the trace id
-                        # (pre-span coordinators simply omit it).
+                        # directions of the wire carry the trace id.
                         "trace": frame.get("trace"),
                         "payload": encode_blob(result),
                     },

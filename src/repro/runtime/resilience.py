@@ -64,15 +64,8 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from ..core.atomic import fsync_dir
-from .executors.base import ChunkExecutor
-from .runner import (
-    RetryPolicy,
-    SweepStopped,
-    TrialRunner,
-    _Bounds,
-    _ChunkPayload,
-    args_digest,
-)
+from .executors.base import ChunkExecutor, ChunkPayload
+from .runner import RetryPolicy, SweepStopped, TrialRunner, _Bounds, args_digest
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -111,18 +104,18 @@ class CheckpointError(RuntimeError):
 # their call ordinal and validated against the recorded header on resume.
 
 
-def _encode_payload(payload: _ChunkPayload) -> str:
+def _encode_payload(payload: ChunkPayload) -> str:
     return base64.b64encode(pickle.dumps(payload, protocol=4)).decode("ascii")
 
 
-def _decode_payload(text: str, where: str) -> _ChunkPayload:
+def _decode_payload(text: str, where: str) -> ChunkPayload:
     # pickle.loads on untrusted bytes is arbitrary code execution; see
     # the module-level trust warning.  Journals are as trusted as code.
     try:
         obj = pickle.loads(base64.b64decode(text.encode("ascii")))
     except Exception as exc:
         raise CheckpointError(f"{where}: undecodable chunk payload: {exc}") from exc
-    if not isinstance(obj, _ChunkPayload):
+    if not isinstance(obj, ChunkPayload):
         raise CheckpointError(
             f"{where}: chunk payload decoded to {type(obj).__name__}, "
             "not a chunk result"
@@ -136,7 +129,7 @@ class _LoadedCheckpoint:
 
     argv: list[str] | None
     sweeps: dict[int, dict[str, Any]]
-    chunks: dict[int, dict[_Bounds, _ChunkPayload]]
+    chunks: dict[int, dict[_Bounds, ChunkPayload]]
     dropped_tail: bool
     #: Byte offset just past the last complete (newline-terminated)
     #: record; everything beyond it is the torn tail.
@@ -169,7 +162,7 @@ def _load_checkpoint(path: Path) -> _LoadedCheckpoint:
 
     argv: list[str] | None = None
     sweeps: dict[int, dict[str, Any]] = {}
-    chunks: dict[int, dict[_Bounds, _ChunkPayload]] = {}
+    chunks: dict[int, dict[_Bounds, ChunkPayload]] = {}
     for lineno, line in enumerate(lines, start=1):
         where = f"{path}:{lineno}"
         try:
@@ -428,7 +421,7 @@ class ResilientRunner(TrialRunner):
     # ------------------------------------------------------------------
     # Journal plumbing
     # ------------------------------------------------------------------
-    def _salvage_note(self, payloads: dict[_Bounds, _ChunkPayload]) -> str:
+    def _salvage_note(self, payloads: dict[_Bounds, ChunkPayload]) -> str:
         note = super()._salvage_note(payloads)
         if self.checkpoint_path is not None:
             note += f"; journaled to {self.checkpoint_path}"
@@ -452,7 +445,7 @@ class ResilientRunner(TrialRunner):
 
     def _begin_sweep(
         self, sweep: int, header: dict[str, Any]
-    ) -> dict[_Bounds, _ChunkPayload]:
+    ) -> dict[_Bounds, ChunkPayload]:
         """Validate this sweep against its journal header and return the
         chunks it already completed, or journal a fresh header."""
         loaded = self._loaded
@@ -522,7 +515,7 @@ class ResilientRunner(TrialRunner):
         return {}
 
     def _record_chunk(
-        self, sweep: int, bounds: _Bounds, payload: _ChunkPayload
+        self, sweep: int, bounds: _Bounds, payload: ChunkPayload
     ) -> None:
         writer = self._ensure_writer()
         if writer is None:

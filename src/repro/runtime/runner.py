@@ -322,12 +322,6 @@ class RunTelemetry:
         return self.trials / self.wall_seconds
 
 
-# Chunk execution lives in repro.runtime.executors.base (shared by every
-# backend).  The alias keeps *old checkpoint journals* loadable: their
-# pickled chunk payloads reference this name by module path.
-_ChunkPayload = ChunkPayload
-
-
 def _metric_segment(type_name: str) -> str:
     """An exception type name as one metric-name segment (lowercase
     snake case): ``RuntimeError`` -> ``runtime_error``, ``OSError`` ->
@@ -682,14 +676,13 @@ class TrialRunner:
         known once its payload arrives, so the spans are emitted complete
         (:meth:`SpanTracer.emit`) with ``start = now - payload.seconds``
         on the coordinator's clock.  Host attribution comes from the
-        payload (``getattr`` covers payloads unpickled from pre-span
-        checkpoint journals).
+        payload.
         """
         lo, hi = bounds
         sweep.payloads[bounds] = payload
         self._record_chunk(sweep.ordinal, bounds, payload)
         attempt = sweep.attempts.get(index, 0) + 1
-        host = getattr(payload, "host", None)
+        host = payload.host
         now = self._elapsed()
         start = max(0.0, now - payload.seconds)
         chunk_span = self.spans.span_id("span.chunk", sweep.ordinal, index)
@@ -848,17 +841,15 @@ class TrialRunner:
         ``sim.batch_demotions``, and fallbacks per exception type as
         ``sim.batch_fallbacks.<type>`` (snake case: ``RuntimeError`` ->
         ``runtime_error``), summing to ``sim.batch_fallbacks``.
-        ``getattr`` covers payloads unpickled from checkpoint journals
-        written before these fields existed.
         """
-        batched, demoted = getattr(payload, "batch", (0, 0))
+        batched, demoted = payload.batch
         if batched:
             self.ops_metrics.counter("sim.batch_trials").inc(batched)
         if demoted:
             self.ops_metrics.counter("sim.batch_demotions").inc(demoted)
-        for reason, count in getattr(payload, "batch_demotions", {}).items():
+        for reason, count in payload.batch_demotions.items():
             self.ops_metrics.counter(f"sim.batch_demotions.{reason}").inc(count)
-        error = getattr(payload, "batch_fallback_error", None)
+        error = payload.batch_fallback_error
         if error is not None:
             self.ops_metrics.counter("sim.batch_fallbacks").inc()
             self.ops_metrics.counter(

@@ -17,8 +17,10 @@ become mechanism:
   the outcome is ``checkpointed``, not ``failed``.
 * Result artifacts are deterministic JSON written through
   :func:`~repro.core.atomic.atomic_write_text` -- no timestamps, no
-  float formatting drift -- so the CI serve-smoke gate can ``cmp`` a
-  crashed-and-resumed service run against an offline baseline.
+  float formatting drift -- so
+  ``tests/test_service.py::TestCrashRecovery`` can compare a
+  crashed-and-resumed service run byte for byte against an
+  uninterrupted direct execution.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ..runtime import (
     TrialAggregate,
     TrialExecutionError,
 )
-from .spec import JobPlan, SweepSpec
+from .spec import SweepSpec
 from .store import JobRecord, JobState
 
 __all__ = ["JobExecution", "JobOutcome"]
@@ -85,6 +87,9 @@ def _summarize_simulate(results: list[Any]) -> dict[str, Any]:
         ),
         "local_repair_bytes": sum(r.local_repair_bytes for r in results),
     }
+
+
+_SUMMARIES = {"burst": _summarize_burst, "simulate": _summarize_simulate}
 
 
 class JobExecution:
@@ -136,14 +141,14 @@ class JobExecution:
                 self._runner.request_stop()
 
     # ------------------------------------------------------------------
-    def _make_runner(self, plan: JobPlan) -> ResilientRunner:
+    def _make_runner(self, spec: SweepSpec) -> ResilientRunner:
         runner = ResilientRunner(
             workers=self._workers,
-            chunk_size=plan.chunk,
+            chunk_size=spec.chunk,
             checkpoint=self.checkpoint_path,
             resume=self.checkpoint_path.exists(),
             backend=self._backend,
-            batch=plan.batch,
+            batch=spec.batch,
         )
         runner.progress = self._tracker
         with self._lock:
@@ -186,25 +191,14 @@ class JobExecution:
         spec = SweepSpec.from_json(self._record.spec)
         plan = spec.resolve()
         self._job_dir.mkdir(parents=True, exist_ok=True)
-        runner = self._make_runner(plan)
-        metrics = MetricsRegistry() if plan.collect_metrics else None
-        trace = TraceRecorder() if plan.collect_trace else None
-
-        if spec.kind == "burst":
-            stats = runner.run(
-                plan.fn, plan.trials, seed=plan.seed, args=plan.args,
-                metrics=metrics, trace=trace,
-            )
-            summary = _summarize_burst(stats)
-        else:
-            results = runner.map(
-                plan.fn, plan.trials, seed=plan.seed, args=plan.args,
-                metrics=metrics, trace=trace,
-            )
-            summary = _summarize_simulate(results)
+        runner = self._make_runner(spec)
+        metrics = MetricsRegistry() if spec.collect_metrics else None
+        trace = TraceRecorder() if spec.collect_trace else None
+        result = plan.execute(runner, metrics=metrics, trace=trace)
+        summary = _SUMMARIES[spec.kind](result)
 
         # Deterministic serialization: sorted keys, fixed separators, no
-        # wall-clock fields.  This is what makes `cmp` a valid CI gate.
+        # wall-clock fields, so result bytes can be compared across runs.
         atomic_write_text(
             self.result_path,
             json.dumps(summary, sort_keys=True, indent=2) + "\n",

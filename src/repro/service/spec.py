@@ -1,15 +1,16 @@
-"""Sweep specifications: the unit of work ``mlec-sim serve`` accepts.
+"""Sweep specifications: the one definition of burst and simulate work.
 
-A :class:`SweepSpec` is the validated, canonicalized form of a client's
-JSON job submission.  Two properties carry the service's robustness
-story and both live here:
+A :class:`SweepSpec` is the validated, canonicalized form of a sweep,
+whether a client submitted it to ``mlec-sim serve`` as JSON or
+``mlec-sim burst``/``simulate`` built it from their arguments.  Two
+properties carry the service's robustness story and both live here:
 
-* ``resolve()`` produces *exactly* the ``(fn, args, trials, seed)`` the
-  offline CLI paths pass to the runner (``burst_pdl_stats`` internals
-  for ``kind="burst"``, ``cmd_simulate`` internals for
-  ``kind="simulate"``).  That makes a service job's checkpoint journal
-  interchangeable with an offline run's -- same header fingerprint, same
-  chunk records, byte-identical results.
+* ``resolve()`` is the only place that turns a sweep into runner inputs
+  ``(fn, args, trials, seed)``, and :meth:`JobPlan.execute` the only
+  place that runs them.  The CLI and the service both go through it, so
+  an offline run's checkpoint journal is interchangeable with a service
+  job's -- same header fingerprint, same chunk records, byte-identical
+  results (``tests/test_service.py::TestCliServiceParity``).
 * ``key()`` hashes that resolved form (via the same
   :func:`~repro.runtime.args_digest` the journal header records), so the
   dedupe cache key *is* the checkpoint identity: identical submissions
@@ -23,18 +24,19 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.config import RNG_STREAM, YEAR, DatacenterConfig, MLECParams
 from ..core.scheme import MLEC_SCHEME_NAMES, mlec_scheme_from_name
 from ..core.types import RepairMethod
 from ..runtime.resilience import args_digest
 
-__all__ = ["JobPlan", "SpecError", "SweepSpec"]
+if TYPE_CHECKING:
+    from ..obs import MetricsRegistry, TraceRecorder
+    from ..runtime import TrialRunner
 
-_CODE_RE = re.compile(r"^\(?(\d+)\+(\d+)\)?/\(?(\d+)\+(\d+)\)?$")
+__all__ = ["JobPlan", "SpecError", "SweepSpec"]
 
 _KINDS = ("burst", "simulate")
 _BATCH_MODES = ("auto", "on", "off")
@@ -66,16 +68,18 @@ class SpecError(ValueError):
 
 
 def _parse_code(text: str) -> MLECParams:
-    match = _CODE_RE.match(text.strip())
-    if match is None:
-        raise SpecError(
-            f"code must look like 'kn+pn/kl+pl', e.g. '10+2/17+3'; got {text!r}"
-        )
-    k_n, p_n, k_l, p_l = (int(g) for g in match.groups())
     try:
-        return MLECParams(k_n, p_n, k_l, p_l)
+        return MLECParams.parse(text)
     except ValueError as exc:
-        raise SpecError(f"invalid MLEC code {text!r}: {exc}") from exc
+        raise SpecError(f"invalid code: {exc}") from exc
+
+
+def _mission_time(months: float) -> float:
+    """Mission length in seconds (``inf`` when it overflows a float)."""
+    try:
+        return months / 12 * YEAR
+    except OverflowError:
+        return math.inf
 
 
 def _require_int(payload: Mapping[str, Any], field: str, minimum: int) -> int:
@@ -98,19 +102,36 @@ def _require_bool(payload: Mapping[str, Any], field: str) -> bool:
 class JobPlan:
     """A spec resolved to concrete runner inputs (see module docstring)."""
 
+    kind: str
     fn: Callable[..., Any]
     args: tuple[Any, ...]
     trials: int
     seed: int
-    batch: str
-    chunk: int | None
-    collect_metrics: bool
-    collect_trace: bool
 
     @property
     def fn_name(self) -> str:
         """``module:qualname`` -- the identity the journal header records."""
         return f"{self.fn.__module__}:{self.fn.__qualname__}"
+
+    def execute(
+        self,
+        runner: TrialRunner,
+        *,
+        metrics: MetricsRegistry | None = None,
+        trace: TraceRecorder | None = None,
+    ) -> Any:
+        """Run the sweep on ``runner``.
+
+        A burst sweep folds its PDLs into a
+        :class:`~repro.runtime.TrialAggregate` (``runner.run``); a
+        simulate sweep returns every mission's result in trial order
+        (``runner.map``).
+        """
+        sweep = runner.run if self.kind == "burst" else runner.map
+        return sweep(
+            self.fn, self.trials, seed=self.seed, args=self.args,
+            metrics=metrics, trace=trace,
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,7 +152,7 @@ class SweepSpec:
     failures: int | None = None
     racks: int | None = None
     # simulate
-    months: int | None = None
+    months: float | None = None
     afr: float | None = None
     method: str | None = None
 
@@ -201,7 +222,18 @@ class SweepSpec:
             fields["failures"] = _require_int(merged, "failures", 1)
             fields["racks"] = _require_int(merged, "racks", 1)
         else:
-            fields["months"] = _require_int(merged, "months", 1)
+            months = merged["months"]
+            if isinstance(months, bool) or not isinstance(months, (int, float)):
+                raise SpecError(f"months must be a number, got {months!r}")
+            mission_time = _mission_time(months)
+            if not (math.isfinite(mission_time) and mission_time > 0):
+                raise SpecError(
+                    f"months must give a positive, finite mission_time, "
+                    f"got {mission_time!r} s ({months!r} months)"
+                )
+            if isinstance(months, float) and months.is_integer():
+                months = int(months)  # 3.0 and 3 are one sweep
+            fields["months"] = months
             afr = merged["afr"]
             if isinstance(afr, bool) or not isinstance(afr, (int, float)):
                 raise SpecError(f"afr must be a number, got {afr!r}")
@@ -235,10 +267,9 @@ class SweepSpec:
     def resolve(self) -> JobPlan:
         """Build the exact runner inputs this spec denotes.
 
-        Mirrors ``burst_pdl_stats`` (burst) and ``cmd_simulate``
-        (simulate) argument construction line for line; drift here would
-        silently fork service results from offline results, which the CI
-        serve-smoke ``cmp`` gate exists to catch.
+        The CLI's ``burst`` and ``simulate`` and the service's job
+        executor all run what this returns, so there is no second
+        construction of ``(fn, args)`` to drift from.
         """
         scheme = mlec_scheme_from_name(self.scheme, _parse_code(self.code))
         if self.kind == "burst":
@@ -254,24 +285,16 @@ class SweepSpec:
 
             assert self.months is not None and self.afr is not None
             assert self.method is not None
-            mission_time = self.months / 12 * YEAR
             fn = simulate_trial
             args = (
                 scheme,
                 RepairMethod(self.method),
                 self.afr,
-                mission_time,
+                _mission_time(self.months),
                 self.seed,
             )
         return JobPlan(
-            fn=fn,
-            args=args,
-            trials=self.trials,
-            seed=self.seed,
-            batch=self.batch,
-            chunk=self.chunk,
-            collect_metrics=self.collect_metrics,
-            collect_trace=self.collect_trace,
+            kind=self.kind, fn=fn, args=args, trials=self.trials, seed=self.seed
         )
 
     def key(self) -> str:
@@ -292,8 +315,8 @@ class SweepSpec:
             "args": args_digest(plan.args),
             "trials": plan.trials,
             "seed": plan.seed,
-            "collect_metrics": plan.collect_metrics,
-            "collect_trace": plan.collect_trace,
+            "collect_metrics": self.collect_metrics,
+            "collect_trace": self.collect_trace,
             "rng_stream": RNG_STREAM,
         }
         blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))

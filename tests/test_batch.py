@@ -520,11 +520,11 @@ class TestBatchFallback:
         assert not any(k.startswith("sim.batch") for k in result_counters)
 
     def test_payload_without_fallback_field_counts_nothing(self):
-        """A chunk payload unpickled from a journal written before the
-        field existed lacks the attribute entirely."""
+        """A scalar chunk's payload (no batch work, no fallback) adds no
+        batch counters.  A payload that lacks a field is not read at all:
+        its journal is refused before any payload is folded."""
         payload = ChunkPayload(values=[0.0], seconds=0.0, metrics=None,
                                records=[])
-        object.__delattr__(payload, "batch_fallback_error")
         runner = TrialRunner()
         runner._absorb_batch_stats(payload)
         counters = runner.ops_metrics.snapshot()["counters"]

@@ -16,6 +16,7 @@ import os
 import signal
 import socket
 import sys
+import threading
 import time
 
 import numpy as np
@@ -375,6 +376,49 @@ class TestTcpRoundTrip:
         kinds = {r["kind"] for r in runner.ops_trace.records}
         assert "worker.death" in kinds
         assert "worker.join" in kinds
+
+
+#: Indices of the trials _recording_trial ran in this process.
+_RAN: list[int] = []
+
+
+def _recording_trial(ctx):
+    _RAN.append(ctx.index)
+    return 0.0
+
+
+class TestWorkerLease:
+    def test_four_tuple_job_exits_1_unrun(self):
+        """A lease ships ``(fn, children, args, collect, batch)``; a worker
+        handed a job of any other shape exits 1 without running it."""
+        codes = []
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = server.getsockname()[1]
+            thread = threading.Thread(
+                target=lambda: codes.append(
+                    run_worker("127.0.0.1", port, connect_timeout=10.0)
+                ),
+                daemon=True,
+            )
+            thread.start()
+            server.settimeout(10.0)
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assert recv_frame(conn)["t"] == "hello"
+                job = (
+                    _recording_trial,
+                    tuple(np.random.SeedSequence(0).spawn(1)),
+                    (),
+                    (False, False),
+                )
+                send_frame(conn, {
+                    "t": "lease", "task": 1, "lo": 0, "hi": 1,
+                    "job": encode_blob(job),
+                })
+                thread.join(timeout=10.0)
+        assert codes == [1]
+        assert _RAN == []
 
 
 class TestStayWorker:

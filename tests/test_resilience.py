@@ -6,8 +6,10 @@ leave the final aggregate, merged metrics snapshot, and trace stream
 bitwise identical to an uninterrupted ``workers=1`` run.
 """
 
+import base64
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -317,6 +319,29 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="rng_stream=None"):
             resumed.run(_value_trial, 8, seed=0)
         resumed.close()
+
+    def test_payload_under_retired_alias_refused(self, tmp_path):
+        """A chunk payload pickled under the retired
+        ``repro.runtime.runner._ChunkPayload`` name is refused loudly,
+        never half-read."""
+        ck = tmp_path / "ck.jsonl"
+        runner = ResilientRunner(workers=1, chunk_size=2, checkpoint=ck)
+        runner.run(_value_trial, 8, seed=0)
+        runner.close()
+        lines = ck.read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        at = next(i for i, r in enumerate(records) if r["kind"] == "chunk")
+        payload = pickle.loads(base64.b64decode(records[at]["payload"]))
+        # Protocol 2 names the class in one text GLOBAL opcode.
+        raw = pickle.dumps(payload, protocol=2)
+        current = b"crepro.runtime.executors.base\nChunkPayload\n"
+        assert current in raw
+        raw = raw.replace(current, b"crepro.runtime.runner\n_ChunkPayload\n")
+        records[at]["payload"] = base64.b64encode(raw).decode("ascii")
+        lines[at] = json.dumps(records[at], separators=(",", ":")) + "\n"
+        ck.write_text("".join(lines))
+        with pytest.raises(CheckpointError, match="undecodable chunk payload"):
+            ResilientRunner(workers=1, checkpoint=ck, resume=True)
 
     def test_library_journal_has_no_argv(self, tmp_path):
         ck = tmp_path / "ck.jsonl"

@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core.atomic import atomic_write_text
 from repro.runtime import ResilientRunner, SweepStopped
 from repro.runtime.resilience import JournalWriter
@@ -79,10 +80,28 @@ class TestSweepSpec:
         {"kind": "simulate", "afr": "high"},
         {"kind": "simulate", "method": "R_BOGUS"},
         {"kind": "simulate", "months": 0},
+        {"kind": "simulate", "months": "3"},
+        {"kind": "simulate", "months": -0.5},
+        {"kind": "simulate", "months": float("nan")},
+        {"kind": "simulate", "months": 1e308},    # mission_time overflows
     ])
     def test_rejects_malformed(self, payload):
         with pytest.raises(SpecError):
             SweepSpec.from_json(payload)
+
+    def test_fractional_months_accepted(self):
+        """``mlec-sim simulate --months`` is a float, so the spec is too."""
+        from repro.core.config import YEAR
+
+        spec = SweepSpec.from_json(dict(SIM_SPEC, months=1.5))
+        assert spec.to_json()["months"] == 1.5
+        assert spec.resolve().args[3] == 1.5 / 12 * YEAR
+
+    def test_integral_float_months_is_the_integer_sweep(self):
+        whole = SweepSpec.from_json(dict(SIM_SPEC, months=3))
+        spelled = SweepSpec.from_json(dict(SIM_SPEC, months=3.0))
+        assert json.dumps(spelled.to_json()) == json.dumps(whole.to_json())
+        assert spelled.key() == whole.key()
 
     def test_canonicalization_is_spelling_independent(self):
         terse = SweepSpec.from_json({"kind": "burst", "trials": 12, "seed": 7})
@@ -373,6 +392,71 @@ class TestJobExecution:
         outcome = JobExecution(record, tmp_path, workers=1).run()
         assert outcome.state is JobState.FAILED
         assert outcome.error
+
+
+# ----------------------------------------------------------------------
+# The CLI and the service run the same sweep
+# ----------------------------------------------------------------------
+def _sweep_header(checkpoint):
+    for line in Path(checkpoint).read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "sweep":
+            return record["data"]
+    raise AssertionError(f"{checkpoint} holds no sweep header")
+
+
+class TestCliServiceParity:
+    """``mlec-sim burst``/``simulate`` journal the sweep that
+    ``SweepSpec.resolve()`` builds and print what the job computes."""
+
+    @staticmethod
+    def _cli(argv, checkpoint, capsys):
+        main(argv + ["--checkpoint", str(checkpoint)])
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _assert_same_sweep(checkpoint, payload):
+        from repro.runtime.resilience import args_digest
+
+        header = _sweep_header(checkpoint)
+        plan = SweepSpec.from_json(payload).resolve()
+        assert (
+            header["fn"], header["args_sha256"], header["trials"],
+            header["seed"],
+        ) == (plan.fn_name, args_digest(plan.args), plan.trials, plan.seed)
+
+    def test_burst(self, tmp_path, capsys):
+        ck = tmp_path / "cli.jsonl"
+        out = self._cli(
+            ["burst", "C/C", "-y", "4", "-x", "2", "--trials", "12",
+             "--seed", "7"],
+            ck, capsys,
+        )
+        self._assert_same_sweep(ck, BURST_SPEC)
+        _, outcome = _execute(BURST_SPEC, tmp_path / "svc")
+        result = json.loads(Path(outcome.result_path).read_text())
+        assert f"] = {result['pdl_mean']:.3e}   [Monte-Carlo" in out
+
+    def test_simulate(self, tmp_path, capsys):
+        payload = {
+            "kind": "simulate", "scheme": "C/C", "months": 6, "afr": 0.2,
+            "trials": 6, "seed": 3,
+        }
+        ck = tmp_path / "cli.jsonl"
+        out = self._cli(
+            ["simulate", "C/C", "--months", "6", "--afr", "0.2",
+             "--trials", "6", "--seed", "3"],
+            ck, capsys,
+        )
+        self._assert_same_sweep(ck, payload)
+        _, outcome = _execute(payload, tmp_path / "svc")
+        result = json.loads(Path(outcome.result_path).read_text())
+        losses, trials = result["loss_trials"], result["trials"]
+        assert f"trials with data loss: {losses}/{trials}\n" in out
+        mean = result["disk_failures"] / trials
+        assert f"mean disk failures   : {mean:.1f}\n" in out
+        mean = result["catastrophic_events"] / trials
+        assert f"mean catastrophic    : {mean:.2f}\n" in out
 
 
 # ----------------------------------------------------------------------
@@ -678,16 +762,28 @@ def _daemon_env():
     return env
 
 
-def _start_daemon(state_dir):
-    # Its own session: the daemon leads a process group holding its pool
+def _start_cli(*argv):
+    # Its own session: the process leads a group holding its pool
     # children, so the whole tree can be reaped after a kill -9.
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--state-dir", str(state_dir), "--port", "0", "--workers", "2"],
+        [sys.executable, "-m", "repro.cli", *argv],
         env=_daemon_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
+
+
+def _start_daemon(state_dir, backend="local"):
+    return _start_cli(
+        "serve", "--state-dir", str(state_dir), "--port", "0",
+        "--workers", "2", "--backend", backend,
+    )
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def _group_members(pgid):
@@ -755,10 +851,32 @@ def _http(info, method, path, body=None):
 
 
 class TestCrashRecovery:
-    def test_sigkill_restart_resume_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["local", "tcp"])
+    def test_sigkill_restart_resume_byte_identical(self, tmp_path, backend):
+        """kill -9 mid-job, restart, resume: the result is byte-identical
+        to an uninterrupted run.  Under ``tcp`` both daemons coordinate
+        one ``mlec-sim workers --stay`` fleet on the same port."""
+        fleet = None
+        if backend == "tcp":
+            address = f"127.0.0.1:{_free_port()}"
+            backend = f"tcp://{address}"
+            fleet = _start_cli(
+                "workers", "--connect", address, "--processes", "2", "--stay"
+            )
+        try:
+            self._crash_restart_compare(tmp_path, backend)
+        finally:
+            if fleet is not None:
+                _kill_group(fleet)
+                fleet.wait(timeout=30)
+        if fleet is not None:
+            assert _group_survivors(fleet.pid) == []
+
+    @staticmethod
+    def _crash_restart_compare(tmp_path, backend):
         state = tmp_path / "state"
         state.mkdir()
-        proc = _start_daemon(state)
+        proc = _start_daemon(state, backend)
         try:
             info = _wait_endpoint(state, proc)
             status, out = _http(info, "POST", "/jobs", CRASH_SPEC)
@@ -771,7 +889,7 @@ class TestCrashRecovery:
             while time.monotonic() < deadline:
                 if ckpt.exists() and sum(
                     1 for line in ckpt.read_text().splitlines()
-                    if '"chunk"' in line
+                    if '"kind":"chunk"' in line
                 ) >= 2:
                     break
                 time.sleep(0.02)
@@ -787,7 +905,7 @@ class TestCrashRecovery:
         assert _group_survivors(proc.pid) == []
 
         # Restart on the same state dir: the job must recover and finish.
-        proc2 = _start_daemon(state)
+        proc2 = _start_daemon(state, backend)
         try:
             info = _wait_endpoint(state, proc2)
             deadline = time.monotonic() + 180
