@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from ..core.arrays import AnyArray
-from scipy import special, stats
+from scipy import special
 
 __all__ = [
     "hypergeom_tail",
@@ -52,6 +52,10 @@ def hypergeom_tail(pool: int, failed: int, width: int, p: int) -> float:
         raise ValueError("stripe wider than pool")
     if p >= min(width, failed):
         return 0.0
+    # Imported here: loading scipy.stats costs over a second, and most
+    # runs never reach this line.
+    from scipy import stats
+
     # sf(p) = P[X > p] for the hypergeometric X.
     return float(stats.hypergeom.sf(p, pool, failed, width))
 

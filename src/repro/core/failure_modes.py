@@ -24,8 +24,6 @@ import enum
 import numpy as np
 
 from .arrays import AnyArray
-from scipy import stats
-
 from .types import RepairMethod
 
 __all__ = [
@@ -151,6 +149,10 @@ class LocalPoolDamage:
             pmf = np.zeros(max_j + 1)
             pmf[self.failed_disks] = 1.0
             return pmf
+        # Imported here: loading scipy.stats costs over a second, and the
+        # simulators import this module without calling this method.
+        from scipy import stats
+
         j = np.arange(max_j + 1)
         return stats.hypergeom.pmf(
             j, self.pool_disks, self.failed_disks, self.stripe_width

@@ -28,8 +28,6 @@ the default) or is recorded in :attr:`InvariantChecker.violations`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sim.events import Event, EventType
 from ..sim.simulator import MLECSystemSimulator, _RunState
 
@@ -62,6 +60,8 @@ class InvariantChecker:
         self._prev_local = 0.0
         self._prev_catastrophic = 0
         self._total_pools = sim.scheme.total_local_pools
+        self._disk_capacity = sim.scheme.dc.disk_capacity_bytes
+        self._chunk_size = sim.scheme.dc.chunk_size_bytes
 
     # ------------------------------------------------------------------
     def _fail(self, message: str) -> None:
@@ -94,36 +94,41 @@ class InvariantChecker:
         Returns the damage messages (negative counts or work), the table
         messages (out-of-range id, orphaned idle pool) and the pools'
         offline total; the caller emits each group where it always stood
-        in the check order.  Negative work is found with one comparison
-        over all work rows joined end to end (a NaN entry is not negative,
-        exactly as in a per-row ``(work < -1e-9).any()``); only when that
-        finds one are the rows compared one by one to name the pools.
+        in the check order.  A damaged pool with non-negative counts and
+        an in-range id can break none of these checks unless one of its
+        work entries is negative, so it is cleared by scanning its work
+        row alone; every other pool takes the full per-pool checks.  A NaN
+        work entry is busy, not negative, on both paths.
         """
         damage: list[str] = []
         table: list[str] = []
-        pools = st.pools
-        if not pools:
-            return damage, table, 0
-        works = [state.work for state in pools.values()]
-        if (np.concatenate(works) < -1e-9).any():
-            negative = [bool((work < -1e-9).any()) for work in works]
-        else:
-            negative = [False] * len(works)
         total_pools = self._total_pools
         offline_total = 0
-        for (pool_id, state), neg in zip(pools.items(), negative):
+        for pool_id, state in st.pools.items():
             failed = state.failed
             offline = state.offline
             offline_total += offline
+            work = state.work
+            if (
+                failed >= 0
+                and offline >= 0
+                and (failed or offline)
+                and 0 <= pool_id < total_pools
+            ):
+                for w in work:
+                    if w < -1e-9:
+                        break
+                else:
+                    continue
             if failed < 0 or offline < 0:
                 damage.append(
                     f"pool {pool_id} has negative damage after {event.kind}: "
                     f"failed={failed} offline={offline}"
                 )
-            if neg:
+            if any(w < -1e-9 for w in work):
                 damage.append(
                     f"pool {pool_id} has negative outstanding work "
-                    f"after {event.kind}: {state.work.tolist()}"
+                    f"after {event.kind}: {[float(w) for w in work]}"
                 )
             if not 0 <= pool_id < total_pools:
                 table.append(f"pool id {pool_id} outside topology")
@@ -149,17 +154,19 @@ class InvariantChecker:
         for pool_id, chunks in st.latent.items():
             if chunks < 0:
                 self._fail(f"pool {pool_id} has negative latent count {chunks}")
-        for name in (
-            "cross_rack_bytes", "local_bytes", "scrub_repair_bytes",
-            "offline_disk_seconds", "net_repair_seconds",
-            "degraded_repair_seconds",
+        for name, value in (
+            ("cross_rack_bytes", st.cross_rack_bytes),
+            ("local_bytes", st.local_bytes),
+            ("scrub_repair_bytes", st.scrub_repair_bytes),
+            ("offline_disk_seconds", st.offline_disk_seconds),
+            ("net_repair_seconds", st.net_repair_seconds),
+            ("degraded_repair_seconds", st.degraded_repair_seconds),
         ):
-            if getattr(st, name) < 0:
+            if value < 0:
                 self._fail(f"{name} went negative after {event.kind}")
 
     def _check_byte_conservation(self, event: Event, st: _RunState) -> None:
-        dc = self.sim.scheme.dc
-        expected_local = st.n_failures * dc.disk_capacity_bytes
+        expected_local = st.n_failures * self._disk_capacity
         if st.local_bytes != expected_local:
             self._fail(
                 f"local repair bytes {st.local_bytes} != "
@@ -188,7 +195,7 @@ class InvariantChecker:
         # route through the network stage instead, so they contribute no
         # scrub bytes.
         expected_scrub = st.n_latent_detected - st.n_latent_induced_chunks
-        if abs(st.scrub_repair_bytes - expected_scrub * dc.chunk_size_bytes) > 1e-6:
+        if abs(st.scrub_repair_bytes - expected_scrub * self._chunk_size) > 1e-6:
             self._fail(
                 f"scrub repair bytes {st.scrub_repair_bytes} != "
                 f"{expected_scrub} detected latent chunks x chunk size"

@@ -28,10 +28,33 @@ See ``docs/service.md`` for the HTTP API, the job state machine, and the
 durability/trust model.
 """
 
-from .daemon import ServiceConfig, SimulationService, serve
-from .queue import BoundedJobQueue, QueueFull
-from .spec import SpecError, SweepSpec
-from .store import JobRecord, JobState, JobStore, JobStoreError
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .daemon import ServiceConfig, SimulationService, serve
+    from .queue import BoundedJobQueue, QueueFull
+    from .spec import SpecError, SweepSpec
+    from .store import JobRecord, JobState, JobStore, JobStoreError
+
+#: Public name -> defining submodule.  Resolved on first access (PEP 562),
+#: so importing one submodule -- ``repro.service.spec`` for a CLI sweep --
+#: does not load the daemon's asyncio/HTTP stack.
+_EXPORTS = {
+    "BoundedJobQueue": "queue",
+    "JobRecord": "store",
+    "JobState": "store",
+    "JobStore": "store",
+    "JobStoreError": "store",
+    "QueueFull": "queue",
+    "ServiceConfig": "daemon",
+    "SimulationService": "daemon",
+    "SpecError": "spec",
+    "SweepSpec": "spec",
+    "serve": "daemon",
+}
 
 __all__ = [
     "BoundedJobQueue",
@@ -46,3 +69,12 @@ __all__ = [
     "SweepSpec",
     "serve",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

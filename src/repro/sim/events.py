@@ -30,9 +30,10 @@ class EventType(enum.Enum):
     END_OF_MISSION = "end-of-mission"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True)
 class Event:
-    """One scheduled event.  Ordering is (time, seq); payload is free-form."""
+    """One scheduled event.  ``seq`` orders events of equal ``time`` in the
+    queue (insertion order); ``payload`` is free-form and never compared."""
 
     time: float
     seq: int
@@ -43,18 +44,21 @@ class Event:
 class EventQueue:
     """A heap-backed event queue with cancellation.
 
-    Cancellation is lazy: :meth:`cancel` marks the sequence number dead and
-    :meth:`pop` skips corpses -- O(log n) per operation either way.
+    The heap holds ``(time, seq, event)`` tuples, so every comparison is a
+    C-level float/int compare: ``seq`` is unique and the event itself is
+    never compared.  Cancellation is lazy: :meth:`cancel` drops the handle
+    from the live set and :meth:`pop`/:meth:`peek_time` discard corpses
+    when they reach the top -- O(log n) per operation either way.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._dead: set[int] = set()
+        self._live: set[int] = set()
         self.now = 0.0
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._dead)
+        return len(self._live)
 
     def push(self, time: float, kind: EventType, payload: Any = None) -> int:
         """Schedule an event; returns a handle usable with :meth:`cancel`.
@@ -75,28 +79,30 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule into the past: {time} < now={self.now}"
             )
-        self._seq += 1
-        heapq.heappush(self._heap, Event(time, self._seq, kind, payload))
-        return self._seq
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, seq, Event(time, seq, kind, payload)))
+        self._live.add(seq)
+        return seq
 
     def cancel(self, handle: int) -> None:
         """Cancel a previously scheduled event (no-op if already popped)."""
-        self._dead.add(handle)
+        self._live.discard(handle)
 
     def pop(self) -> Event | None:
         """Pop the earliest live event, advancing the clock; None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.seq in self._dead:
-                self._dead.discard(event.seq)
-                continue
-            self.now = event.time
-            return event
+        heap = self._heap
+        live = self._live
+        while heap:
+            time, seq, event = heapq.heappop(heap)
+            if seq in live:
+                live.remove(seq)
+                self.now = time
+                return event
         return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without popping it."""
-        while self._heap and self._heap[0].seq in self._dead:
-            self._dead.discard(self._heap[0].seq)
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][1] not in self._live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

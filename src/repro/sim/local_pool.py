@@ -216,7 +216,7 @@ class LocalPoolSimulator:
 
         failed = 0
         # Outstanding demote work (stripes needing one chunk) per class.
-        work = np.zeros(self.parities + 1)
+        work = [0.0] * (self.parities + 1)
         repair_handle: int | None = None
         repair_started = 0.0
         repair_class: int | None = None
@@ -229,7 +229,7 @@ class LocalPoolSimulator:
         def settle_progress(now: float) -> None:
             """Credit the in-flight repair's progress and cancel it."""
             nonlocal repair_handle
-            if repair_handle is None:
+            if repair_handle is None or repair_class is None:
                 return
             done = (now - repair_started) * chunks_per_second
             work[repair_class] = max(0.0, work[repair_class] - done)
@@ -238,11 +238,13 @@ class LocalPoolSimulator:
 
         def schedule(now: float) -> None:
             nonlocal repair_handle, repair_started, repair_class
-            nz = np.nonzero(work > 1e-6)[0]
-            if nz.size == 0:
+            # The most critical class with outstanding work goes first.
+            for target in range(self.parities, -1, -1):
+                if work[target] > 1e-6:
+                    break
+            else:
                 repair_class = None
                 return
-            target = int(nz[-1])
             repair_class = target
             repair_started = now
             duration = work[target] / chunks_per_second

@@ -111,10 +111,12 @@ class _PoolState:
     def __init__(self, parities: int) -> None:
         self.failed = 0
         self.offline = 0
-        self.work = np.zeros(parities + 1)
+        # Outstanding chunk work per damage class, as plain floats: the
+        # handlers touch single entries, where numpy scalars only add cost.
+        self.work: list[float] = [0.0] * (parities + 1)
 
     def is_idle(self) -> bool:
-        return self.failed == 0 and self.offline == 0 and not self.work.any()
+        return self.failed == 0 and self.offline == 0 and not any(self.work)
 
 
 class _NetRepair:
@@ -246,25 +248,24 @@ class MLECSystemSimulator:
         self._network_rate = model.network_repair_rate().rate
         s = scheme
         self._clustered = s.local_placement is Placement.CLUSTERED
-        chunks = s.local_pool_disks * s.dc.disk_capacity_bytes / s.dc.chunk_size_bytes
-        self._stripes_per_pool = chunks / s.params.n_l
+        # Geometry the handlers read on every event, resolved once.
+        self._n_l = n_l = s.params.n_l
+        self._p_l = p_l = s.params.p_l
+        self._pool_disks = pool_disks = s.local_pool_disks
+        self._disk_capacity = s.dc.disk_capacity_bytes
+        self._pool_divisor = n_l if self._clustered else s.dc.disks_per_enclosure
+        chunks = pool_disks * s.dc.disk_capacity_bytes / s.dc.chunk_size_bytes
+        self._stripes_per_pool = chunks / n_l
         self._chunks_per_disk = s.dc.disk_capacity_bytes / s.dc.chunk_size_bytes
+        # (class, share) pairs, highest class first: the fraction of a
+        # damage-d stripe class that one more failed disk promotes to d+1.
+        self._promotion = [
+            (d, (n_l - d) / (pool_disks - d)) for d in range(p_l - 1, 0, -1)
+        ]
 
     # ------------------------------------------------------------------
     def _pool_of_disk(self, disk_id: int) -> int:
-        s = self.scheme
-        if self._clustered:
-            return disk_id // s.params.n_l
-        return disk_id // s.dc.disks_per_enclosure
-
-    def _class_size(self, damage: int) -> float:
-        s = self.scheme
-        if self._clustered:
-            return self._stripes_per_pool
-        frac = 1.0
-        for j in range(damage):
-            frac *= (s.params.n_l - j) / (s.local_pool_disks - j)
-        return self._stripes_per_pool * frac
+        return disk_id // self._pool_divisor
 
     def _network_stage_bytes(self, lost_stripes: float) -> float:
         """Bytes the network stage must rebuild for this method."""
@@ -452,13 +453,14 @@ class MLECSystemSimulator:
     def _on_disk_failure_impl(
         self, st: _RunState, event: Event, queue: EventQueue, mission_time: float
     ) -> None:
-        s = self.scheme
-        p_l = s.params.p_l
+        p_l = self._p_l
         now = event.time
         st.n_failures += 1
         disk = event.payload
         pool_id = self._pool_of_disk(disk)
-        state = st.pools.setdefault(pool_id, _PoolState(p_l))
+        state = st.pools.get(pool_id)
+        if state is None:
+            state = st.pools[pool_id] = _PoolState(p_l)
         latent = st.latent.get(pool_id, 0)
         if st.recorder is not None:
             st.recorder.event(
@@ -487,14 +489,15 @@ class MLECSystemSimulator:
                 st.n_latent_detected += latent
                 st.n_latent_induced_chunks += latent
         elif state.work[p_l] > 1e-6:
-            hits = state.work[p_l] * (
-                (s.params.n_l - p_l) / (s.local_pool_disks - p_l)
-            )
+            n_l = self._n_l
+            pool_disks = self._pool_disks
+            critical = state.work[p_l]
+            hits = critical * ((n_l - p_l) / (pool_disks - p_l))
             if latent:
                 # Chance that a damage-p_l stripe also depends on one of
                 # the pool's latent chunks (uniform spread approximation).
-                surviving = (s.local_pool_disks - p_l) * self._chunks_per_disk
-                hits += state.work[p_l] * latent * (s.params.n_l - p_l) / surviving
+                surviving = (pool_disks - p_l) * self._chunks_per_disk
+                hits += critical * latent * (n_l - p_l) / surviving
             if st.rng.random() < min(1.0, hits):
                 lost_stripes = max(1.0, hits)
 
@@ -506,12 +509,12 @@ class MLECSystemSimulator:
         # Damage bookkeeping (promotion of unrepaired damage).
         combined_before = state.failed + state.offline
         if not self._clustered:
-            for d in range(p_l - 1, 0, -1):
-                share = (s.params.n_l - d) / (s.local_pool_disks - d)
-                promoted = state.work[d] * share
-                state.work[d + 1] += promoted
-                state.work[d] -= promoted
-            state.work[1] += self._chunks_per_disk
+            work = state.work
+            for d, share in self._promotion:
+                promoted = work[d] * share
+                work[d + 1] += promoted
+                work[d] -= promoted
+            work[1] += self._chunks_per_disk
         state.failed = min(state.failed + 1, p_l)
         if combined_before <= p_l < state.failed + state.offline:
             # Together with transiently offline disks the pool now exceeds
@@ -524,18 +527,16 @@ class MLECSystemSimulator:
         # bandwidth budget stretches the drain accordingly.
         local_disk_time = (
             self.failures.detection_time
-            + s.dc.disk_capacity_bytes / (self._local_rate * st.local_factor)
+            + self._disk_capacity / (self._local_rate * st.local_factor)
         )
         queue.push(now + local_disk_time, EventType.REPAIR_COMPLETE, pool_id)
-        st.local_bytes += s.dc.disk_capacity_bytes
+        st.local_bytes += self._disk_capacity
         # Replacement disk enters service.
         t = self.failure_model.time_to_failure(st.rng, disk, now)
         if t <= mission_time:
             queue.push(t, EventType.DISK_FAILURE, disk)
 
     def _on_repair_complete(self, st: _RunState, event: Event) -> None:
-        s = self.scheme
-        p_l = s.params.p_l
         pool_id = event.payload
         state = st.pools.get(pool_id)
         if state is None:
@@ -544,10 +545,11 @@ class MLECSystemSimulator:
         if not self._clustered:
             # One disk's worth of chunk repairs drains, highest classes
             # first.
+            work = state.work
             budget = self._chunks_per_disk
-            for d in range(p_l, 0, -1):
-                take = min(state.work[d], budget)
-                state.work[d] -= take
+            for d in range(self._p_l, 0, -1):
+                take = min(work[d], budget)
+                work[d] -= take
                 budget -= take
                 if budget <= 0:
                     break
@@ -556,7 +558,7 @@ class MLECSystemSimulator:
         latent = st.latent.pop(pool_id, 0)
         if latent:
             st.n_latent_detected += latent
-            st.scrub_repair_bytes += latent * s.dc.chunk_size_bytes
+            st.scrub_repair_bytes += latent * self.scheme.dc.chunk_size_bytes
         if st.recorder is not None:
             st.recorder.event(
                 event.time,
@@ -569,7 +571,7 @@ class MLECSystemSimulator:
             st.pools.pop(pool_id, None)
 
     def _on_transient_offline(self, st: _RunState, event: Event) -> None:
-        p_l = self.scheme.params.p_l
+        p_l = self._p_l
         now = event.time
         st.n_transient_outages += 1
         by_pool: dict[int, int] = {}

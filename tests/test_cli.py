@@ -1,5 +1,10 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_mlec_code
@@ -18,6 +23,29 @@ class TestCodeParsing:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_mlec_code("10,2,17,3")
+
+
+class TestImportCost:
+    def test_fresh_import_loads_neither_scipy_stats_nor_the_daemon(self):
+        """The CLI and the sweep spec stay cheap to import: scipy.stats
+        (over a second) loads only where a hypergeometric is evaluated,
+        and the service daemon only when ``serve`` runs."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.service.spec\n"
+            "print(sorted({'scipy.stats', 'repro.service.daemon'}"
+            " & set(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCommands:

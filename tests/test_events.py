@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim.events import EventQueue, EventType
@@ -58,6 +59,37 @@ class TestEventQueue:
         q.push(2.0, EventType.REPAIR_COMPLETE)
         q.cancel(h)
         assert q.peek_time() == 2.0
+
+    def test_equal_times_never_compare_payloads(self):
+        """Ties break on insertion order alone: payloads that cannot be
+        ordered (a dict, an array) pop in the order they were pushed."""
+        q = EventQueue()
+        first, second, third = {"a": 1}, np.arange(3), {"b": 2}
+        for payload in (first, second, third):
+            q.push(2.0, EventType.DISK_FAILURE, payload)
+        assert [q.pop().payload for _ in range(3)] == [first, second, third]
+        assert q.pop() is None
+
+    def test_len_across_cancel_pop_and_peek(self):
+        q = EventQueue()
+        head = q.push(1.0, EventType.DISK_FAILURE, "head")
+        q.push(1.0, EventType.REPAIR_COMPLETE, "tie")
+        tail = q.push(3.0, EventType.SCRUB, "tail")
+        assert len(q) == 3
+        q.cancel(head)
+        assert len(q) == 2
+        assert q.peek_time() == 1.0  # the tie behind the cancelled head
+        assert len(q) == 2
+        assert q.pop().payload == "tie"
+        assert len(q) == 1
+        q.cancel(head)  # already gone: a no-op
+        assert len(q) == 1
+        assert q.peek_time() == 3.0
+        assert q.pop().payload == "tail"
+        q.cancel(tail)  # popped: a no-op
+        assert len(q) == 0
+        assert q.peek_time() is None
+        assert q.pop() is None
 
     def test_empty_queue(self):
         q = EventQueue()

@@ -466,6 +466,56 @@ class TestInvariantChecker:
             strict(self._event(), state())
         assert str(info.value) == expected[0]
 
+    @pytest.mark.parametrize("corruption", ["negative-work", "out-of-range-id"])
+    def test_pools_the_event_did_not_touch_are_audited(self, corruption):
+        """Every live pool is audited after every event, not only the pools
+        the event changed: a damaged pool corrupted behind the simulator's
+        back is reported on that very event."""
+        sim = simulator("D/D", failure_model=FaultInjector(
+            base=ExponentialFailures(0.5),
+            faults=(RackOutage(time=2 * DAY, rack=1, duration=12 * HOUR),),
+            dc=DC,
+        ))
+        total = sim.scheme.total_local_pools
+        checker = InvariantChecker(sim, strict=True)
+        seen = []
+        corrupted = {}
+
+        def observer(event, st):
+            seen.append(event)
+            touched = (
+                sim._pool_of_disk(event.payload)
+                if event.kind is EventType.DISK_FAILURE
+                else event.payload
+            )
+            victims = [
+                pid for pid, state in st.pools.items()
+                if pid != touched and state.failed > 0
+            ]
+            if not corrupted and event.kind in (
+                EventType.DISK_FAILURE, EventType.REPAIR_COMPLETE
+            ) and victims:
+                victim = victims[-1]
+                corrupted.update(index=len(seen), kind=event.kind, pool=victim)
+                if corruption == "negative-work":
+                    st.pools[victim].work[1] = -5.0
+                else:
+                    st.pools[total + 3] = st.pools.pop(victim)
+            checker(event, st)
+
+        with pytest.raises(InvariantViolation) as info:
+            sim.run(mission_time=10 * DAY, seed=3, observer=observer)
+        assert checker.events_checked == corrupted["index"] == len(seen)
+        message = str(info.value)
+        if corruption == "negative-work":
+            assert message.startswith(
+                f"pool {corrupted['pool']} has negative outstanding work "
+                f"after {corrupted['kind']}: "
+            )
+            assert "-5.0" in message
+        else:
+            assert message == f"pool id {total + 3} outside topology"
+
     def test_empty_pool_table_passes(self):
         checker = InvariantChecker(simulator(), strict=True)
         checker(self._event(), _fake_state(pools={}, n_failures=0,
