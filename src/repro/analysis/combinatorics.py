@@ -15,11 +15,11 @@ Three small tools power every probability-of-data-loss computation:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from ..core.arrays import AnyArray
-from scipy import special
 
 __all__ = [
     "hypergeom_tail",
@@ -106,8 +106,8 @@ def rack_selection_hits_pmf(
     # filling the remaining j slots, hit-free.
     pmf = np.zeros(max_hits + 1)
     for j in range(0, min(n_zero, width) + 1):
-        pmf += dp[width - j] * special.comb(n_zero, j, exact=True)
-    pmf /= special.comb(n_racks, width, exact=True)
+        pmf += dp[width - j] * math.comb(n_zero, j)
+    pmf /= math.comb(n_racks, width)
     return pmf
 
 
@@ -173,7 +173,7 @@ def exactly_j_cells_over_threshold_pmf(
     dp = np.zeros((max_f + 1, cells + 1))
     dp[0, 0] = 1.0
     binom = np.array(
-        [special.comb(cell_size, i, exact=True) for i in range(min(cell_size, max_f) + 1)],
+        [math.comb(cell_size, i) for i in range(min(cell_size, max_f) + 1)],
         dtype=float,
     )
     for _ in range(cells):
@@ -188,5 +188,5 @@ def exactly_j_cells_over_threshold_pmf(
                 new[i:, :] += src * w
         dp = new
     pmf = dp[failures]
-    pmf /= special.comb(total, failures, exact=True)
+    pmf /= math.comb(total, failures)
     return pmf

@@ -688,10 +688,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--rules", args.rules]
     if args.output:
         argv += ["--output", args.output]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline] if args.baseline else ["--baseline"]
-    if args.update_baseline:
-        argv.append("--update-baseline")
     if args.cache is not None:
         argv += ["--cache", args.cache] if args.cache else ["--cache"]
     if args.list_rules:
@@ -918,12 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the report to PATH instead of stdout")
     p.add_argument("--rules", metavar="IDS", default=None,
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--baseline", metavar="PATH", nargs="?", const="",
-                   default=None,
-                   help="suppress findings recorded in the baseline file "
-                        "(default path: .simlint-baseline.json)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from current findings")
     p.add_argument("--cache", metavar="PATH", nargs="?", const="",
                    default=None,
                    help="incremental per-file result cache "

@@ -12,17 +12,11 @@ telemetry segregation (SL015).
 
 Run it as ``mlec-sim lint <paths>`` or ``python -m repro.devtools.simlint``.
 See ``docs/static-analysis.md`` for the rule catalogue, suppression
-syntax, baseline/SARIF workflow, and how to add a rule.
+syntax, SARIF workflow, and how to add a rule.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    filter_findings,
-    load_baseline,
-    write_baseline,
-)
 from .cache import DEFAULT_CACHE_PATH, run_with_cache
 from .core import (
     META_RULE_ID,
@@ -47,11 +41,7 @@ __all__ = [
     "register_rule",
     "Linter",
     "LintError",
-    "DEFAULT_BASELINE_PATH",
     "DEFAULT_CACHE_PATH",
-    "load_baseline",
-    "filter_findings",
-    "write_baseline",
     "run_with_cache",
     "to_sarif",
     "render_sarif",

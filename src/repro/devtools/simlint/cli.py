@@ -1,9 +1,8 @@
 """Command-line front end for simlint.
 
-Exit codes: 0 -- no (non-baselined) findings; 1 -- findings reported
-(including SL000 diagnostics for files that do not parse); 2 -- usage
-error or a target that could not be linted (missing path, unreadable
-file, broken baseline).
+Exit codes: 0 -- no findings; 1 -- findings reported (including SL000
+diagnostics for files that do not parse); 2 -- usage error or a target
+that could not be linted (missing path, unreadable file).
 """
 
 from __future__ import annotations
@@ -13,12 +12,6 @@ import json
 import sys
 from typing import Sequence, TextIO
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    filter_findings,
-    load_baseline,
-    write_baseline,
-)
 from .cache import DEFAULT_CACHE_PATH, run_with_cache
 from .core import RULE_REGISTRY, Finding, LintError, Linter
 from .sarif import render_sarif
@@ -53,17 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", nargs="?", const=DEFAULT_BASELINE_PATH,
-        help=(
-            "suppress findings recorded in the baseline file "
-            f"(default path: {DEFAULT_BASELINE_PATH})"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE_PATH,
         help=(
             "reuse per-file results keyed by content hash "
@@ -85,12 +67,7 @@ def _list_rules(out: TextIO) -> None:
         out.write(f"{rule_id}  {rule.title}\n    {rule.rationale}\n")
 
 
-def _render(
-    findings: list[Finding],
-    fmt: str,
-    rule_ids: list[str],
-    baselined: int,
-) -> str:
+def _render(findings: list[Finding], fmt: str, rule_ids: list[str]) -> str:
     if fmt == "json":
         return json.dumps(
             {"findings": [f.to_json() for f in findings]}, indent=2,
@@ -100,8 +77,6 @@ def _render(
     chunks = [f.format() + "\n" for f in findings]
     if findings:
         chunks.append(f"simlint: {len(findings)} finding(s)\n")
-    if baselined:
-        chunks.append(f"simlint: {baselined} baselined finding(s) hidden\n")
     return "".join(chunks)
 
 
@@ -118,41 +93,17 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     if args.rules:
         selected = {r.strip() for r in args.rules.split(",") if r.strip()}
 
-    baseline_path = args.baseline
-    if args.update_baseline and baseline_path is None:
-        baseline_path = DEFAULT_BASELINE_PATH
-
     try:
         linter = Linter(rules=selected)
         if args.cache:
             findings = run_with_cache(linter, list(args.paths), args.cache)
         else:
             findings = linter.run(list(args.paths))
-
-        if args.update_baseline:
-            previous: dict[str, dict[str, object]] = {}
-            try:
-                previous = load_baseline(baseline_path)
-            except LintError:
-                pass  # first write, or a corrupt file being replaced
-            count = write_baseline(findings, baseline_path, previous)
-            print(
-                f"simlint: baseline {baseline_path} updated "
-                f"({count} finding(s))",
-                file=sys.stderr,
-            )
-            return 0
-
-        baselined = 0
-        if baseline_path is not None:
-            findings, baselined = filter_findings(
-                findings, load_baseline(baseline_path)
-            )
     except LintError as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
 
-    report = _render(findings, args.format, linter.rule_ids, baselined)
+    report = _render(findings, args.format, linter.rule_ids)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -11,10 +11,12 @@ Determinism contract: every mutation is a pure function of the producing
 trial's inputs, and :meth:`MetricsRegistry.merge` folds registries in trial
 order, so the merged snapshot is identical for any
 :class:`~repro.runtime.TrialRunner` worker count.  Counter and histogram
-merges are plain sums (order-free); gauges keep the *last written* value,
-which merge replays by taking the right operand's value whenever it has
-been written at all -- chunk boundaries therefore cannot change the
-outcome.
+sums are kept exactly (in units of the smallest double, ``2**-1074``) and
+rounded once when read, so they do not depend on how the trials were
+grouped into chunks; a float running sum would (``(a + b) + c`` need not
+equal ``a + (b + c)``).  Gauges keep the *last written* value, which
+merge replays by taking the right operand's value whenever it has been
+written at all -- chunk boundaries therefore cannot change the outcome.
 """
 
 from __future__ import annotations
@@ -32,6 +34,21 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 
+#: Every finite double is an integer multiple of ``2**-1074``.
+_UNIT_BITS = 1074
+
+
+def _units(value: float) -> int:
+    """``value`` as an exact integer count of ``2**-1074`` units."""
+    numerator, denominator = float(value).as_integer_ratio()
+    return numerator << (_UNIT_BITS + 1 - denominator.bit_length())
+
+
+def _rounded(units: int) -> float:
+    """The double nearest an exact sum (int true division rounds correctly)."""
+    return units / (1 << _UNIT_BITS)
+
+
 def _check_name(name: str) -> str:
     if not _NAME_RE.fullmatch(name):
         raise ValueError(
@@ -44,16 +61,20 @@ def _check_name(name: str) -> str:
 class Counter:
     """A monotonically increasing sum."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_sum")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
+        self._sum = 0  # exact, in _units
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        self.value += amount
+        self._sum += _units(amount)
+
+    @property
+    def value(self) -> float:
+        return _rounded(self._sum)
 
 
 class Gauge:
@@ -80,7 +101,7 @@ class Histogram:
     mergeable by elementwise addition.
     """
 
-    __slots__ = ("name", "bounds", "counts", "total")
+    __slots__ = ("name", "bounds", "counts", "_sum")
 
     def __init__(self, name: str, bounds: tuple[float, ...]) -> None:
         if not bounds:
@@ -92,12 +113,16 @@ class Histogram:
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
         self.counts = [0] * (len(bounds) + 1)
-        self.total = 0.0
+        self._sum = 0  # exact, in _units
 
     def observe(self, value: float) -> None:
         v = float(value)
         self.counts[bisect.bisect_left(self.bounds, v)] += 1
-        self.total += v
+        self._sum += _units(v)
+
+    @property
+    def total(self) -> float:
+        return _rounded(self._sum)
 
     @property
     def count(self) -> int:
@@ -196,7 +221,7 @@ class MetricsRegistry:
     def merge(self, other: MetricsRegistry) -> None:
         """Fold ``other`` in; the right operand must be the *later* one."""
         for name, counter in other._counters.items():
-            self.counter(name).value += counter.value
+            self.counter(name)._sum += counter._sum
         for name, gauge in other._gauges.items():
             mine = self.gauge(name)
             if gauge.updates:
@@ -206,7 +231,7 @@ class MetricsRegistry:
             mine = self.histogram(name, hist.bounds)
             for i, c in enumerate(hist.counts):
                 mine.counts[i] += c
-            mine.total += hist.total
+            mine._sum += hist._sum
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, object]]:

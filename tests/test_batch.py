@@ -183,16 +183,6 @@ class TestBurstIdentity:
 
 
 class TestGridIdentity:
-    def test_grid_batch_on_off_identical(self):
-        ev = mlec_evaluator("D/D")
-        failures = np.array([12, 60])
-        racks = np.array([1, 3])
-        on = burst_pdl_grid(ev, failures, racks, trials=10, seed=3,
-                            runner=TrialRunner(batch="on"))
-        off = burst_pdl_grid(ev, failures, racks, trials=10, seed=3,
-                             runner=TrialRunner(batch="off"))
-        assert np.array_equal(on, off, equal_nan=True)
-
     @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
     def test_fig5_grid_batches_every_chunk_under_auto(self, name):
         """The 29 feasible Fig. 5 cells chunk 8/8/8/5; none runs scalar."""

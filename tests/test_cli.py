@@ -27,9 +27,10 @@ class TestCodeParsing:
 
 class TestImportCost:
     def test_fresh_import_loads_neither_scipy_stats_nor_the_daemon(self):
-        """The CLI and the sweep spec stay cheap to import: scipy.stats
-        (over a second) loads only where a hypergeometric is evaluated,
-        and the service daemon only when ``serve`` runs."""
+        """The CLI, the batch engine and the sweep spec stay cheap to
+        import: no scipy module loads until an analysis needs one (a
+        hypergeometric, a special function), and the service daemon
+        loads only when ``serve`` runs."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -37,9 +38,10 @@ class TestImportCost:
         )
         probe = (
             "import sys\n"
-            "import repro.cli, repro.service.spec\n"
-            "print(sorted({'scipy.stats', 'repro.service.daemon'}"
-            " & set(sys.modules)))\n"
+            "import repro.cli, repro.sim.batch, repro.service.spec\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'\n"
+            "             or m == 'repro.service.daemon'))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, check=True,

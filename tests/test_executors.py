@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 import pytest
+from _procs import free_port, spawn_worker_procs
 
 from repro.cli import main
 from repro.obs import MetricsRegistry, TraceRecorder
@@ -85,27 +86,6 @@ def _make_job(index=0, lo=0, hi=4, seed=3):
         index=index, lo=lo, hi=hi, fn=_value_trial,
         children=tuple(children[lo:hi]), args=(), collect=(False, False),
     )
-
-
-def _spawn_worker_procs(address, count):
-    """Real worker processes dialing the coordinator (they retry-connect)."""
-    host, port = address
-    ctx = multiprocessing.get_context()
-    procs = []
-    for slot in range(count):
-        proc = ctx.Process(
-            target=run_worker, args=(host, port),
-            kwargs={"worker_id": f"w{slot}"}, daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-    return procs
-
-
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 def _stay_fleet_entry(port):
@@ -267,7 +247,7 @@ class TestTcpRoundTrip:
         for hosts in (1, 3):
             backend = TcpWorkQueueBackend(connect_grace=60.0)
             backend.start()
-            procs = _spawn_worker_procs(backend.address, hosts)
+            procs = spawn_worker_procs(backend.address, hosts)
             runner = ResilientRunner(workers=2, chunk_size=3, backend=backend)
             try:
                 _wait_workers(backend, hosts)
@@ -357,7 +337,7 @@ class TestTcpRoundTrip:
         marker = str(tmp_path / "host-killed-once")
         backend = TcpWorkQueueBackend(connect_grace=60.0, poll_interval=0.02)
         backend.start()
-        procs = _spawn_worker_procs(backend.address, 2)
+        procs = spawn_worker_procs(backend.address, 2)
         runner = make_runner(backend)
         try:
             _wait_workers(backend, 2)
@@ -431,7 +411,7 @@ class TestStayWorker:
             _run_telemetry(TrialRunner(workers=1), trials, seed)
             for trials, seed in sweeps
         ]
-        port = _free_port()
+        port = free_port()
         ctx = multiprocessing.get_context()
         proc = ctx.Process(
             target=run_worker, args=("127.0.0.1", port),
@@ -471,7 +451,7 @@ class TestStayWorker:
         signal is the only way it ever stops; without teardown the
         children would orphan onto pid 1 and spin-dial the dead address.
         """
-        port = _free_port()  # nobody listens: children sit in retry-connect
+        port = free_port()  # nobody listens: children sit in retry-connect
         ctx = multiprocessing.get_context()
         # daemon=False: the fleet parent forks children of its own.
         proc = ctx.Process(target=_stay_fleet_entry, args=(port,))
@@ -604,7 +584,7 @@ class TestCheckpointAcrossBackends:
         open(marker, "w").close()
         backend = TcpWorkQueueBackend(connect_grace=60.0)
         backend.start()
-        procs = _spawn_worker_procs(backend.address, 1)
+        procs = spawn_worker_procs(backend.address, 1)
         resumed = ResilientRunner(
             workers=2, checkpoint=ck, resume=True, policy=FAST,
             backend=backend,
@@ -628,51 +608,18 @@ class TestCheckpointAcrossBackends:
 class TestCli:
     BURST = ["burst", "C/C", "-y", "3", "-x", "2", "--trials", "32"]
 
-    def _artifacts(self, tmp_path, tag):
-        return str(tmp_path / f"{tag}.trace"), str(tmp_path / f"{tag}.json")
-
     def test_workers_bad_spec_exits_2(self, capsys):
         assert main(["workers", "--connect", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_workers_unreachable_coordinator_exits_2(self, capsys):
-        port = _free_port()
+        port = free_port()
         code = main([
             "workers", "--connect", f"127.0.0.1:{port}",
             "--connect-timeout", "0.3",
         ])
         assert code == 2
         assert "no coordinator reachable" in capsys.readouterr().err
-
-    def test_backend_tcp_end_to_end_matches_local(self, tmp_path, capsys):
-        base_trace, base_metrics = self._artifacts(tmp_path, "base")
-        assert main(
-            self.BURST + ["--trace", base_trace, "--metrics", base_metrics]
-        ) == 0
-        capsys.readouterr()
-
-        # Workers first: they retry-connect until the coordinator binds.
-        port = _free_port()
-        procs = _spawn_worker_procs(("127.0.0.1", port), 2)
-        tcp_trace, tcp_metrics = self._artifacts(tmp_path, "tcp")
-        assert main(
-            self.BURST + [
-                "--backend", f"tcp://127.0.0.1:{port}", "--workers", "2",
-                "--trace", tcp_trace, "--metrics", tcp_metrics,
-            ]
-        ) == 0
-        for proc in procs:
-            proc.join(timeout=35.0)
-            # 0: served and saw the coordinator's clean shutdown.  2: the
-            # sweep outran this worker's dial backoff, so it never joined
-            # and timed out against the already-gone coordinator.  Clean
-            # shutdown of *joined* workers is asserted deterministically
-            # in TestTcpRoundTrip / TestStayWorker.
-            assert proc.exitcode in (0, 2)
-        with open(base_trace, "rb") as a, open(tcp_trace, "rb") as b:
-            assert a.read() == b.read()
-        with open(base_metrics, "rb") as a, open(tcp_metrics, "rb") as b:
-            assert a.read() == b.read()
 
     def test_resume_backend_and_connect_conflict(self, tmp_path, capsys):
         ck = str(tmp_path / "ck.jsonl")
@@ -690,36 +637,6 @@ class TestCli:
         capsys.readouterr()
         assert main(["resume", ck, "--backend", "smoke-signals"]) == 2
         assert "unknown executor backend" in capsys.readouterr().err
-
-    def test_resume_with_backend_override_matches_baseline(
-        self, tmp_path, capsys
-    ):
-        base_trace, base_metrics = self._artifacts(tmp_path, "base")
-        assert main(
-            self.BURST + ["--trace", base_trace, "--metrics", base_metrics]
-        ) == 0
-        capsys.readouterr()
-
-        ck = str(tmp_path / "ck.jsonl")
-        ck_trace, ck_metrics = self._artifacts(tmp_path, "ck")
-        assert main(
-            self.BURST + [
-                "--checkpoint", ck, "--trace", ck_trace,
-                "--metrics", ck_metrics,
-            ]
-        ) == 0
-        capsys.readouterr()
-        # Kill the tail of the journal: a run interrupted mid-sweep.
-        lines = (tmp_path / "ck.jsonl").read_bytes().splitlines(keepends=True)
-        (tmp_path / "ck.jsonl").write_bytes(b"".join(lines[:-2]))
-        os.unlink(ck_trace)
-        os.unlink(ck_metrics)
-
-        assert main(["resume", ck, "--backend", "local"]) == 0
-        with open(base_trace, "rb") as a, open(ck_trace, "rb") as b:
-            assert a.read() == b.read()
-        with open(base_metrics, "rb") as a, open(ck_metrics, "rb") as b:
-            assert a.read() == b.read()
 
 
 class TestCampaignBackend:

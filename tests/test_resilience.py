@@ -11,12 +11,9 @@ import json
 import os
 import pickle
 import signal
-import subprocess
-import sys
 import time
 
 import pytest
-from test_service import _daemon_env, _group_survivors, _kill_group
 
 from repro.cli import main
 from repro.core.config import RNG_STREAM
@@ -484,55 +481,6 @@ class TestCliResume:
             assert a.read() == b.read()
         # stdout matches modulo the artifact file names.
         assert out.replace("ck.", "base.") == baseline
-
-    def test_sigkill_mid_sweep_then_resume_byte_identical(self, tmp_path, capsys):
-        """A checkpointed multi-process sweep killed -9 (coordinator and
-        pool together) resumes to the uninterrupted run's artifacts, and
-        a full journal replays them at another worker count."""
-        argv = ["simulate", "C/C", "--months", "12", "--trials", "64",
-                "--workers", "2", "--seed", "5"]
-        base_trace, base_metrics = self._artifacts(tmp_path, "base")
-        assert main(argv + ["--trace", base_trace, "--metrics", base_metrics]) == 0
-        capsys.readouterr()
-
-        ck = tmp_path / "ck.jsonl"
-        trace, metrics = self._artifacts(tmp_path, "int")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", *argv, "--checkpoint", str(ck),
-             "--trace", trace, "--metrics", metrics],
-            env=_daemon_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while not (ck.exists() and b'"kind":"chunk"' in ck.read_bytes()):
-                assert proc.poll() is None, "the sweep ended before the kill"
-                assert time.monotonic() < deadline, "no chunk was journaled"
-                time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGKILL)
-            assert proc.wait(timeout=30) == -signal.SIGKILL
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-            _kill_group(proc)
-        assert _group_survivors(proc.pid) == []
-        # The sweep never finished: its artifacts are written at the end.
-        assert not os.path.exists(trace) and not os.path.exists(metrics)
-
-        def same_artifacts():
-            for ours, theirs in ((trace, base_trace), (metrics, base_metrics)):
-                with open(ours, "rb") as a, open(theirs, "rb") as b:
-                    assert a.read() == b.read()
-
-        assert main(["resume", str(ck)]) == 0
-        same_artifacts()
-        os.unlink(trace)
-        os.unlink(metrics)
-        assert main(["resume", str(ck), "--workers", "1"]) == 0
-        same_artifacts()
-        capsys.readouterr()
 
     def test_resume_junk_file_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.jsonl"

@@ -19,9 +19,6 @@ import asyncio
 import json
 import os
 import signal
-import socket
-import subprocess
-import sys
 import threading
 import time
 import urllib.error
@@ -29,8 +26,16 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from _procs import (
+    free_port,
+    group_survivors,
+    http,
+    kill_group,
+    start_cli,
+    start_daemon,
+    wait_endpoint,
+)
 
-import repro
 from repro.cli import main
 from repro.core.atomic import atomic_write_text
 from repro.runtime import ResilientRunner, SweepStopped
@@ -40,8 +45,6 @@ from repro.service.executor import JobExecution
 from repro.service.queue import BoundedJobQueue, QueueFull
 from repro.service.spec import SpecError, SweepSpec
 from repro.service.store import JobRecord, JobState, JobStore, JobStoreError
-
-SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 BURST_SPEC = {
     "kind": "burst", "scheme": "C/C", "failures": 4, "racks": 2,
@@ -756,100 +759,6 @@ CRASH_SPEC = {
 }
 
 
-def _daemon_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _start_cli(*argv):
-    # Its own session: the process leads a group holding its pool
-    # children, so the whole tree can be reaped after a kill -9.
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv],
-        env=_daemon_env(),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-
-
-def _start_daemon(state_dir, backend="local"):
-    return _start_cli(
-        "serve", "--state-dir", str(state_dir), "--port", "0",
-        "--workers", "2", "--backend", backend,
-    )
-
-
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _group_members(pgid):
-    """Live (non-zombie) pids in process group ``pgid``, read from /proc."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path(f"/proc/{entry}/stat").read_text()
-        except OSError:
-            continue
-        # After the parenthesised command name: state, ppid, pgrp, ...
-        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
-        if int(pgrp) == pgid and state != "Z":
-            members.append(int(entry))
-    return members
-
-
-def _kill_group(proc):
-    """SIGKILL whatever is left of a daemon's process group."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-
-
-def _group_survivors(pgid, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while (members := _group_members(pgid)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return members
-
-
-def _wait_endpoint(state_dir, proc, timeout=60.0):
-    endpoint = state_dir / "endpoint.json"
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise AssertionError(f"daemon exited early: {proc.returncode}")
-        if endpoint.exists():
-            info = json.loads(endpoint.read_text())
-            try:
-                with socket.create_connection(
-                    (info["host"], info["port"]), timeout=1.0
-                ):
-                    if info["pid"] == proc.pid:
-                        return info
-            except OSError:
-                pass
-        time.sleep(0.1)
-    raise AssertionError("daemon never published a live endpoint")
-
-
-def _http(info, method, path, body=None):
-    data = json.dumps(body).encode() if body is not None else None
-    req = urllib.request.Request(
-        f"http://{info['host']}:{info['port']}{path}",
-        data=data, method=method)
-    try:
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read())
-
-
 class TestCrashRecovery:
     @pytest.mark.parametrize("backend", ["local", "tcp"])
     def test_sigkill_restart_resume_byte_identical(self, tmp_path, backend):
@@ -858,28 +767,28 @@ class TestCrashRecovery:
         one ``mlec-sim workers --stay`` fleet on the same port."""
         fleet = None
         if backend == "tcp":
-            address = f"127.0.0.1:{_free_port()}"
+            address = f"127.0.0.1:{free_port()}"
             backend = f"tcp://{address}"
-            fleet = _start_cli(
+            fleet = start_cli(
                 "workers", "--connect", address, "--processes", "2", "--stay"
             )
         try:
             self._crash_restart_compare(tmp_path, backend)
         finally:
             if fleet is not None:
-                _kill_group(fleet)
+                kill_group(fleet)
                 fleet.wait(timeout=30)
         if fleet is not None:
-            assert _group_survivors(fleet.pid) == []
+            assert group_survivors(fleet.pid) == []
 
     @staticmethod
     def _crash_restart_compare(tmp_path, backend):
         state = tmp_path / "state"
         state.mkdir()
-        proc = _start_daemon(state, backend)
+        proc = start_daemon(state, backend)
         try:
-            info = _wait_endpoint(state, proc)
-            status, out = _http(info, "POST", "/jobs", CRASH_SPEC)
+            info = wait_endpoint(state, proc)
+            status, out = http(info, "POST", "/jobs", CRASH_SPEC)
             assert status == 202
             jid = out["job"]["job_id"]
 
@@ -901,16 +810,16 @@ class TestCrashRecovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
-            _kill_group(proc)  # the pool children the kill -9 orphaned
-        assert _group_survivors(proc.pid) == []
+            kill_group(proc)  # the pool children the kill -9 orphaned
+        assert group_survivors(proc.pid) == []
 
         # Restart on the same state dir: the job must recover and finish.
-        proc2 = _start_daemon(state, backend)
+        proc2 = start_daemon(state, backend)
         try:
-            info = _wait_endpoint(state, proc2)
+            info = wait_endpoint(state, proc2)
             deadline = time.monotonic() + 180
             while time.monotonic() < deadline:
-                status, out = _http(info, "GET", f"/jobs/{jid}")
+                status, out = http(info, "GET", f"/jobs/{jid}")
                 assert status == 200
                 if out["job"]["terminal"]:
                     break
@@ -919,7 +828,7 @@ class TestCrashRecovery:
             assert out["job"]["attempts"] >= 2  # pre- and post-crash
 
             # Identical resubmit: served from the dedupe cache.
-            status, cached = _http(info, "POST", "/jobs", CRASH_SPEC)
+            status, cached = http(info, "POST", "/jobs", CRASH_SPEC)
             assert status == 200 and cached["cached"] is True
             assert cached["job"]["attempts"] == out["job"]["attempts"]
 
@@ -936,8 +845,8 @@ class TestCrashRecovery:
             if proc2.poll() is None:
                 proc2.kill()
                 proc2.wait(timeout=30)
-            _kill_group(proc2)
-        assert _group_survivors(proc2.pid) == []
+            kill_group(proc2)
+        assert group_survivors(proc2.pid) == []
 
         resumed = (state / "jobs" / jid / "result.json").read_bytes()
 

@@ -1350,73 +1350,6 @@ class TestSarifOutput:
         assert log["runs"][0]["results"] == []
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path, capsys):
-        """--update-baseline makes the tree pass; new findings still fail."""
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        baseline = tmp_path / "baseline.json"
-
-        assert simlint_main([
-            str(dirty), "--update-baseline", "--baseline", str(baseline),
-        ]) == 0
-        capsys.readouterr()
-
-        # The recorded finding is now hidden.
-        assert simlint_main([str(dirty), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-        # A *new* finding is not.
-        dirty.write_text("import random\nimport numpy as np\n"
-                         "r = np.random.default_rng()\n")
-        assert simlint_main([str(dirty), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "SL001" in out
-
-    def test_baseline_survives_line_drift(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        baseline = tmp_path / "baseline.json"
-        assert simlint_main([
-            str(dirty), "--update-baseline", "--baseline", str(baseline),
-        ]) == 0
-        # Shift the finding down two lines without changing its content.
-        dirty.write_text("x = 1\ny = 2\nimport random\n")
-        assert simlint_main([str(dirty), "--baseline", str(baseline)]) == 0
-
-    def test_update_preserves_justifications(self, tmp_path):
-        from repro.devtools.simlint.baseline import (
-            load_baseline, write_baseline,
-        )
-
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        baseline = tmp_path / "baseline.json"
-        findings = Linter().run([str(dirty)])
-        write_baseline(findings, baseline)
-
-        entries = load_baseline(baseline)
-        (fp,) = entries
-        payload = json.loads(baseline.read_text())
-        payload["findings"][0]["justification"] = "stdlib import is a demo"
-        baseline.write_text(json.dumps(payload))
-
-        write_baseline(findings, baseline, load_baseline(baseline))
-        assert (
-            load_baseline(baseline)[fp]["justification"]
-            == "stdlib import is a demo"
-        )
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        assert simlint_main([str(clean), "--baseline", str(baseline)]) == 2
-        assert "baseline" in capsys.readouterr().err
-
-
 class TestIncrementalCache:
     def _run(self, paths, cache, capsys):
         code = simlint_main([*paths, "--cache", str(cache)])
@@ -1486,11 +1419,3 @@ class TestCleanTree:
         assert SRC_TREE.is_dir()
         findings = Linter().run([str(SRC_TREE)])
         assert findings == []
-
-    def test_committed_baseline_is_empty(self):
-        """The committed baseline carries no entries: the tree is clean,
-        so every new finding must fail CI rather than hide."""
-        payload = json.loads(
-            (REPO_ROOT / ".simlint-baseline.json").read_text()
-        )
-        assert payload == {"version": 1, "findings": []}

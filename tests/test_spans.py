@@ -9,11 +9,11 @@ from a traced run are byte-identical to an unobserved one, at any
 worker or host count.
 """
 
-import multiprocessing
 import os
 import time
 
 import pytest
+from _procs import spawn_worker_procs
 
 from repro.obs import MetricsRegistry, TraceRecorder, validate_record
 from repro.obs.spans import SpanTracer, derive_id
@@ -25,7 +25,6 @@ from repro.runtime import (
     TrialRunner,
 )
 from repro.runtime.executors.base import worker_label
-from repro.runtime.executors.worker import run_worker
 
 FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
@@ -51,20 +50,6 @@ def _failing_trial(ctx, marker):
     if ctx.index == 3 and not os.path.exists(marker):
         raise RuntimeError("transient outage")
     return float(ctx.rng().random())
-
-
-def _spawn_worker_procs(address, count):
-    host, port = address
-    ctx = multiprocessing.get_context()
-    procs = []
-    for slot in range(count):
-        proc = ctx.Process(
-            target=run_worker, args=(host, port),
-            kwargs={"worker_id": f"w{slot}"}, daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-    return procs
 
 
 def _spans(runner, kind=None):
@@ -270,7 +255,7 @@ class TestTcpHostAttribution:
 
         backend = TcpWorkQueueBackend(connect_grace=60.0)
         backend.start()
-        procs = _spawn_worker_procs(backend.address, 2)
+        procs = spawn_worker_procs(backend.address, 2)
         runner = ResilientRunner(workers=2, chunk_size=3, backend=backend)
         metrics, trace = MetricsRegistry(), TraceRecorder()
         try:
