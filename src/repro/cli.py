@@ -680,21 +680,6 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from .devtools.simlint.cli import main as simlint_main
-
-    argv = list(args.paths) + ["--format", args.format]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.cache is not None:
-        argv += ["--cache", args.cache] if args.cache else ["--cache"]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return simlint_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlec-sim",
@@ -900,27 +885,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 10)")
     p.set_defaults(func=cmd_trace_report)
 
-    p = sub.add_parser(
+    # Listed for --help only: main() hands `lint ...` to simlint's own
+    # parser untouched, so its options are declared once.
+    sub.add_parser(
         "lint",
         help="domain-aware static analysis (simlint) over the source tree",
+        add_help=False,
     )
-    p.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    p.add_argument("--format", choices=("human", "json", "sarif"),
-                   default="human")
-    p.add_argument("--output", metavar="PATH", default=None,
-                   help="write the report to PATH instead of stdout")
-    p.add_argument("--rules", metavar="IDS", default=None,
-                   help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--cache", metavar="PATH", nargs="?", const="",
-                   default=None,
-                   help="incremental per-file result cache "
-                        "(default path: .simlint-cache.json)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered rules and exit")
-    p.set_defaults(func=cmd_lint)
 
     return parser
 
@@ -978,10 +949,16 @@ def main(argv: list[str] | None = None) -> int:
     out-of-range fault domains) exit with code 2 and a one-line diagnostic
     on stderr instead of a traceback.
     """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["lint"]:
+        from .devtools.simlint.cli import main as simlint_main
+
+        return simlint_main(argv[1:])
     args = build_parser().parse_args(argv)
     # Recorded into --checkpoint journals so `mlec-sim resume` can replay
     # the exact command that produced them.
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    args._argv = list(argv)
     return _dispatch(args)
 
 

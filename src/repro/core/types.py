@@ -2,11 +2,11 @@
 
 The unit aliases (:data:`Seconds`, :data:`Hours`, :data:`Years`,
 :data:`Bytes`, :data:`GiB`, :data:`MiBps`) are :func:`typing.NewType`
-wrappers over ``float``: identity at runtime, distinct to type checkers
-and to the ``SL005`` simlint rule.  APIs that take or return a physical
-quantity annotate it with one of these; call sites convert with the
-explicit helpers below instead of relabelling (``Hours(x)`` on a
-``Seconds`` value is a lint error -- use :func:`seconds_to_hours`).
+wrappers over ``float``: identity at runtime, distinct to type checkers.
+APIs that take or return a physical quantity annotate it with one of
+these; call sites convert with the explicit helpers below instead of
+relabelling (``Hours(x)`` on a ``Seconds`` value is a unit bug -- use
+:func:`seconds_to_hours`).
 """
 
 from __future__ import annotations

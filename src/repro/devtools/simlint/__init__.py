@@ -1,18 +1,16 @@
 """simlint: domain-aware static analysis for the MLEC simulator.
 
-An AST-based lint suite (stdlib only) enforcing the simulation contracts
-ordinary linters cannot see: seeded and plumbed randomness (SL001/SL002),
-exhaustive event dispatch (SL003), no float equality in the numerical
-core (SL004), unit discipline at annotated call sites (SL005), picklable
-trial callables (SL006), campaign hygiene (SL007-SL010), and a
-whole-program layer (module graph -> call graph -> taint) backing
-RNG provenance (SL011), deterministic iteration and fold order
-(SL012/SL014), pickle-boundary reachability (SL013), and ops/result
-telemetry segregation (SL015).
+An AST-based, per-file lint suite (stdlib only) for the simulation
+contracts that neither ordinary linters nor the test suite enforce:
+seeded and plumbed randomness (SL001/SL002), no float equality in the
+numerical core (SL004), no print in library code (SL007), atomic result
+writes (SL008), no executor that bypasses the runtime (SL009), no
+unmarked per-trial loop in the batch engine (SL010), scoped spans
+(SL016), and no blocking call in the service's event loop (SL017).
 
 Run it as ``mlec-sim lint <paths>`` or ``python -m repro.devtools.simlint``.
 See ``docs/static-analysis.md`` for the rule catalogue, suppression
-syntax, SARIF workflow, and how to add a rule.
+syntax, the seeded-bug audit behind the rule set, and how to add a rule.
 """
 
 from __future__ import annotations
@@ -25,17 +23,14 @@ from .core import (
     Finding,
     LintError,
     Linter,
-    ProgramRule,
     Rule,
     register_rule,
 )
-from .sarif import render_sarif, to_sarif
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "ProgramRule",
     "RULE_REGISTRY",
     "META_RULE_ID",
     "register_rule",
@@ -43,6 +38,4 @@ __all__ = [
     "LintError",
     "DEFAULT_CACHE_PATH",
     "run_with_cache",
-    "to_sarif",
-    "render_sarif",
 ]

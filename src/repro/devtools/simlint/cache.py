@@ -1,22 +1,19 @@
 """Incremental result cache: content-hashed, two-granularity.
 
-The whole-program pass makes simlint meaningfully more expensive than a
-per-file walk (module graph + call graph + taint fixpoint), which matters
-for the pre-commit hook and for CI re-runs.  The cache keeps warm runs
-fast without ever trading away correctness:
+Linting the whole tree parses every file, which matters for the
+pre-commit hook and for CI re-runs.  The cache keeps warm runs fast
+without ever trading away correctness:
 
 * **run level** -- a key over the rule set and every file's content hash.
   When nothing changed, the previous findings are replayed verbatim (no
   parsing at all), byte-identical to a cold run.
-* **file level** -- *pure per-file* rules (no ``finalize`` cross-file
-  state, not program rules) are cached per ``(file sha256, rule set)``;
-  after an edit, only the touched files re-run those rules.
+* **file level** -- every rule sees one file at a time, so a file's
+  findings are cached per ``(file sha256, rule set)``; after an edit,
+  only the touched files are re-linted.
 
-Cross-file and whole-program rules always re-run when any file changed --
-their verdicts depend on the whole tree by definition, and caching them
-per file would be unsound.  The cache file itself
-(:data:`DEFAULT_CACHE_PATH`) is a plain JSON artifact, safe to delete at
-any time; a corrupt or version-skewed cache is treated as empty.
+The cache file itself (:data:`DEFAULT_CACHE_PATH`) is a plain JSON
+artifact, safe to delete at any time; a corrupt or version-skewed cache
+is treated as empty.
 """
 
 from __future__ import annotations
@@ -87,7 +84,6 @@ def run_with_cache(
             return cached
 
     contexts, findings = linter.parse(files)
-    per_file, cross, program = linter.partition_rules()
 
     file_entries: dict[str, dict[str, object]] = {}
     old_files = cache.get("files", {})
@@ -105,7 +101,7 @@ def run_with_cache(
         ):
             reused = _load_findings(old.get("findings"))
         if reused is None:
-            reused = linter.run_file_rules(ctx, per_file)
+            reused = linter.run_file_rules(ctx)
         findings.extend(reused)
         file_entries[key] = {
             "sha256": fhash,
@@ -113,8 +109,6 @@ def run_with_cache(
             "findings": _dump_findings(reused),
         }
 
-    findings.extend(linter.run_cross_rules(contexts, cross))
-    findings.extend(linter.run_program_rules(contexts, program))
     findings = sorted(findings)
 
     payload = {

@@ -8,13 +8,11 @@ that could not be linted (missing path, unreadable file).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence, TextIO
 
 from .cache import DEFAULT_CACHE_PATH, run_with_cache
-from .core import RULE_REGISTRY, Finding, LintError, Linter
-from .sarif import render_sarif
+from .core import RULE_REGISTRY, LintError, Linter
 
 __all__ = ["build_parser", "main"]
 
@@ -24,22 +22,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simlint",
         description=(
             "Domain-aware static analysis for the MLEC simulator: seeded "
-            "randomness (per-file and whole-program taint), event-dispatch "
-            "exhaustiveness, unit discipline, pool picklability, "
-            "deterministic iteration/fold order, and telemetry segregation."
+            "randomness, float equality in the numerical core, library "
+            "hygiene, executor and batch-path discipline, span scoping, and "
+            "blocking calls in the service's event loop."
         ),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH",
-        help="write the report to PATH instead of stdout",
     )
     parser.add_argument(
         "--rules", metavar="IDS",
@@ -67,19 +57,6 @@ def _list_rules(out: TextIO) -> None:
         out.write(f"{rule_id}  {rule.title}\n    {rule.rationale}\n")
 
 
-def _render(findings: list[Finding], fmt: str, rule_ids: list[str]) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {"findings": [f.to_json() for f in findings]}, indent=2,
-        ) + "\n"
-    if fmt == "sarif":
-        return render_sarif(findings, rule_ids)
-    chunks = [f.format() + "\n" for f in findings]
-    if findings:
-        chunks.append(f"simlint: {len(findings)} finding(s)\n")
-    return "".join(chunks)
-
-
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -103,15 +80,8 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
 
-    report = _render(findings, args.format, linter.rule_ids)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            print(f"simlint: error: cannot write {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        out.write(report)
+    for finding in findings:
+        out.write(finding.format() + "\n")
+    if findings:
+        out.write(f"simlint: {len(findings)} finding(s)\n")
     return 1 if findings else 0

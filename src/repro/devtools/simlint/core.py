@@ -1,21 +1,14 @@
 """simlint core: findings, suppressions, the rule registry, the driver.
 
 simlint is an AST-based static-analysis tool for *this* codebase: its rules
-encode the simulation contracts (seeded randomness, unit discipline,
-exhaustive event dispatch, picklable trial functions) that ordinary linters
-cannot know about.  Everything is stdlib-only (``ast`` + ``tokenize``-free
-line scanning), so the tool adds no runtime dependency.
+encode simulation contracts (seeded randomness, no float equality in the
+numerical core, library hygiene, span and event-loop discipline) that
+ordinary linters cannot know about.  Everything is stdlib-only (``ast`` +
+``tokenize``-free line scanning), so the tool adds no runtime dependency.
 
-Rules are classes registered by id (``SL001`` ...).  Three shapes exist:
-
-* **per-file** rules (the default) see one file at a time via
-  :meth:`Rule.visit_file`;
-* **cross-file** rules (``cross_file = True``) additionally emit findings
-  from :meth:`Rule.finalize` once every file has been visited;
-* **whole-program** rules subclass :class:`ProgramRule` and receive a
-  :class:`~repro.devtools.simlint.program.ProgramModel` -- a module graph,
-  symbol table, and call graph over every linted file -- via
-  :meth:`ProgramRule.visit_program`.
+Rules are classes registered by id (``SL001`` ...).  Each rule sees one
+file at a time via :meth:`Rule.visit_file`, so a file's findings depend
+on that file alone -- which is what lets the cache reuse them per file.
 
 Suppression is per line and per rule::
 
@@ -24,7 +17,7 @@ Suppression is per line and per rule::
 
 or for a whole file (anywhere in the file, conventionally at the top)::
 
-    # simlint: disable-file=SL003
+    # simlint: disable-file=SL007
 
 ``SL000`` is the synthetic meta-diagnostic id: it is not a registered rule
 but the id findings carry when the *input itself* is broken -- a file that
@@ -37,16 +30,11 @@ import ast
 import dataclasses
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .program import ProgramModel
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "ProgramRule",
     "RULE_REGISTRY",
     "register_rule",
     "Linter",
@@ -150,39 +138,15 @@ class Rule:
     """Base class for simlint rules.
 
     Subclasses set :attr:`rule_id`, :attr:`title` and :attr:`rationale`,
-    and implement :meth:`visit_file`; cross-file rules also set
-    ``cross_file = True`` and implement :meth:`finalize`, which runs after
-    every file has been visited.  One rule instance lives for one
-    :class:`Linter` run, so instance state is the natural place to
-    accumulate cross-file facts.
+    and implement :meth:`visit_file`.
     """
 
     rule_id: str = "SL000"
     title: str = ""
     rationale: str = ""
-    #: True when :meth:`finalize` emits findings that depend on *other*
-    #: files -- such rules are excluded from the per-file result cache.
-    cross_file: bool = False
 
     def visit_file(self, ctx: FileContext) -> list[Finding]:
         del ctx
-        return []
-
-    def finalize(self) -> list[Finding]:
-        return []
-
-
-class ProgramRule(Rule):
-    """A rule that analyzes the whole program instead of single files.
-
-    Program rules run after every file has been parsed, against the
-    :class:`~repro.devtools.simlint.program.ProgramModel` (module graph,
-    symbol tables, call graph) built from all linted files.  They never
-    see :meth:`visit_file`.
-    """
-
-    def visit_program(self, program: ProgramModel) -> list[Finding]:
-        del program
         return []
 
 
@@ -303,26 +267,10 @@ class Linter:
                 ))
         return contexts, findings
 
-    def partition_rules(self) -> tuple[list[str], list[str], list[str]]:
-        """Selected rule ids split into (per-file, cross-file, program)."""
-        per_file: list[str] = []
-        cross: list[str] = []
-        program: list[str] = []
-        for rule_id in self.rule_ids:
-            cls = RULE_REGISTRY[rule_id]
-            if issubclass(cls, ProgramRule):
-                program.append(rule_id)
-            elif cls.cross_file:
-                cross.append(rule_id)
-            else:
-                per_file.append(rule_id)
-        return per_file, cross, program
-
-    @staticmethod
-    def run_file_rules(ctx: FileContext, rule_ids: list[str]) -> list[Finding]:
-        """Per-file rules plus the SL000 pragma check on one file."""
+    def run_file_rules(self, ctx: FileContext) -> list[Finding]:
+        """The selected rules plus the SL000 pragma check on one file."""
         findings = _pragma_findings(ctx)
-        for rule_id in rule_ids:
+        for rule_id in self.rule_ids:
             rule = RULE_REGISTRY[rule_id]()
             findings.extend(
                 f for f in rule.visit_file(ctx)
@@ -330,61 +278,10 @@ class Linter:
             )
         return findings
 
-    @staticmethod
-    def run_cross_rules(
-        contexts: list[FileContext], rule_ids: list[str]
-    ) -> list[Finding]:
-        """Cross-file rules: visit every file, then finalize."""
-        if not rule_ids:
-            return []
-        rules = [RULE_REGISTRY[rule_id]() for rule_id in rule_ids]
-        context_by_path = {ctx.display_path: ctx for ctx in contexts}
-        findings: list[Finding] = []
-        for ctx in contexts:
-            for rule in rules:
-                findings.extend(
-                    f for f in rule.visit_file(ctx)
-                    if not ctx.is_suppressed(f.rule, f.line)
-                )
-        for rule in rules:
-            for finding in rule.finalize():
-                ctx_for = context_by_path.get(finding.path)
-                if ctx_for is None or not ctx_for.is_suppressed(
-                    finding.rule, finding.line
-                ):
-                    findings.append(finding)
-        return findings
-
-    @staticmethod
-    def run_program_rules(
-        contexts: list[FileContext], rule_ids: list[str]
-    ) -> list[Finding]:
-        """Whole-program rules over the module/call-graph model."""
-        if not rule_ids:
-            return []
-        from .program import build_program
-
-        program = build_program(contexts)
-        context_by_path = {ctx.display_path: ctx for ctx in contexts}
-        findings: list[Finding] = []
-        for rule_id in rule_ids:
-            rule = RULE_REGISTRY[rule_id]()
-            assert isinstance(rule, ProgramRule)
-            for finding in rule.visit_program(program):
-                ctx_for = context_by_path.get(finding.path)
-                if ctx_for is None or not ctx_for.is_suppressed(
-                    finding.rule, finding.line
-                ):
-                    findings.append(finding)
-        return findings
-
     # ------------------------------------------------------------------
     def run(self, paths: list[str]) -> list[Finding]:
         """Lint ``paths`` (files or directory trees); returns findings."""
         contexts, findings = self.parse(self.collect_files(paths))
-        per_file, cross, program = self.partition_rules()
         for ctx in contexts:
-            findings.extend(self.run_file_rules(ctx, per_file))
-        findings.extend(self.run_cross_rules(contexts, cross))
-        findings.extend(self.run_program_rules(contexts, program))
+            findings.extend(self.run_file_rules(ctx))
         return sorted(findings)

@@ -2,8 +2,7 @@
 
 Importing this package registers every built-in rule.  To add a rule,
 create a module here with a :class:`~repro.devtools.simlint.core.Rule`
-(or :class:`~repro.devtools.simlint.core.ProgramRule`) subclass decorated
-with ``@register_rule``, and import it below.
+subclass decorated with ``@register_rule``, and import it below.
 """
 
 from __future__ import annotations
@@ -11,35 +10,21 @@ from __future__ import annotations
 from . import (
     asyncio_,
     batching,
-    boundary,
-    events,
     executors,
     floats,
-    ordering,
-    pickling,
     printing,
-    provenance,
     rng,
-    segregation,
     spans,
-    units,
     writes,
 )
 
 __all__ = [
     "asyncio_",
     "rng",
-    "events",
     "floats",
-    "units",
-    "pickling",
     "printing",
     "writes",
     "executors",
     "batching",
-    "provenance",
-    "ordering",
-    "boundary",
-    "segregation",
     "spans",
 ]

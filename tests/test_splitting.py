@@ -11,6 +11,7 @@ from repro.analysis.splitting import (
 from repro.core.config import PAPER_MLEC
 from repro.core.scheme import mlec_scheme_from_name
 from repro.core.types import RepairMethod
+from repro.runtime import TrialRunner
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,18 @@ class TestStage1:
         scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
         result = stage1_pool_rate(scheme, pool_years_each=800, seed=11)
         assert result.mean_lost_fraction == pytest.approx(1.0)
+
+    def test_two_workers_match_serial(self):
+        """The pool-years fan out over worker processes without changing
+        a single fitted number."""
+        scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
+        serial = stage1_pool_rate(
+            scheme, pool_years_each=300, seed=11, runner=TrialRunner(workers=1)
+        )
+        parallel = stage1_pool_rate(
+            scheme, pool_years_each=300, seed=11, runner=TrialRunner(workers=2)
+        )
+        assert parallel == serial
 
     def test_too_few_events_raises(self):
         scheme = mlec_scheme_from_name("C/C", PAPER_MLEC)
