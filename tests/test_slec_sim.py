@@ -1,15 +1,20 @@
 """SLEC/LRC system simulator: statistics, losses, traffic reconciliation."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.config import LRCParams, SLECParams, YEAR
+from repro.core.config import DatacenterConfig, LRCParams, SLECParams, YEAR
 from repro.core.scheme import LRCScheme, SLECScheme
 from repro.core.types import Level, Placement
 from repro.repair.traffic_comparison import (
     lrc_annual_cross_rack_traffic,
     slec_annual_cross_rack_traffic,
 )
+from repro.obs import MetricsRegistry, TraceRecorder
 from repro.sim.failures import ExponentialFailures, TraceFailures
 from repro.sim.slec_sim import SLECSystemSimulator
 
@@ -104,3 +109,46 @@ class TestDataLoss:
         r = sim.run(mission_time=YEAR / 2, seed=9)
         assert r.n_disk_failures > 2000
         assert r.data_loss_events < 3
+
+
+#: An 800-disk deployment (20 racks x 2 enclosures x 20 disks): small
+#: enough for a one-year run in milliseconds, dense enough that every
+#: layout loses data at AFR 0.9.
+PIN_DC = DatacenterConfig(racks=20, enclosures_per_rack=2, disks_per_enclosure=20)
+
+
+class TestGoldenArtifacts:
+    """Byte pins of one lossy year per layout: result, trace and metrics."""
+
+    DIGESTS = {
+        "Loc-Cp": "8367596b4e983142c85d061e30c7978a8e3453cc693f043653adfb93bc3a792d",
+        "Loc-Dp": "06693ae5bac427909015c92b81cb01443ba6e1241cd13d49a7d0d4d976550bc5",
+        "Net-Cp": "25c270c8a745738044bb2da449122c70b9e9e320d3ec13001c0a029db3206d6c",
+        "Net-Dp": "01b5b75524594ccdd0fc6b6789bd80a45034b9202477177482e955ff5416a860",
+        "LRC": "d346ed8b37d152923b92164efd0eaabba161a243cf391625c33843b3fe22ff7c",
+    }
+
+    @staticmethod
+    def scheme(layout):
+        if layout == "LRC":
+            return LRCScheme(LRCParams(14, 2, 4), PIN_DC)
+        level = Level.LOCAL if layout.startswith("Loc") else Level.NETWORK
+        placement = (
+            Placement.CLUSTERED if layout.endswith("Cp") else Placement.DECLUSTERED
+        )
+        return SLECScheme(SLECParams(7, 3), level, placement, PIN_DC)
+
+    @pytest.mark.parametrize("layout", sorted(DIGESTS))
+    def test_lossy_year_is_pinned(self, layout):
+        sim = SLECSystemSimulator(
+            self.scheme(layout), failure_model=ExponentialFailures(0.9)
+        )
+        recorder, metrics = TraceRecorder(), MetricsRegistry()
+        r = sim.run(mission_time=YEAR, seed=0, recorder=recorder, metrics=metrics)
+        assert r.data_loss_events > 0  # the pin covers the loss path
+        blob = json.dumps(
+            [dataclasses.asdict(r), recorder.records, metrics.snapshot()],
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == self.DIGESTS[layout]
