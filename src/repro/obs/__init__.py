@@ -12,9 +12,7 @@ where the wall-clock went -- through three stdlib-only primitives:
   span/event records (disk failure -> repair plan -> network stage ->
   completion) serialized to JSONL.  Records are plain dicts with a fixed
   key order, so a trial's trace bytes are identical for any worker count.
-* :class:`Timers` / :class:`Stopwatch` -- wall-clock accounting for hot
-  paths and whole runs.  A disabled :class:`Timers` costs one attribute
-  read and one branch per guarded section; :class:`Stopwatch` is the single
+* :class:`Stopwatch` -- wall-clock accounting for whole runs: the single
   source of elapsed/throughput numbers for the CLI and the benchmark
   harness, so the two can never drift apart.
 
@@ -47,7 +45,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .progress import ProgressReporter, ProgressSnapshot, ProgressTracker
 from .report import summarize_spans, summarize_trace
 from .spans import Span, SpanTracer, derive_id
-from .timing import DISABLED_TIMERS, Stopwatch, Timers
+from .timing import Stopwatch
 from .trace import (
     SPAN_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
@@ -68,8 +66,6 @@ __all__ = [
     "read_jsonl",
     "write_jsonl",
     "validate_record",
-    "Timers",
-    "DISABLED_TIMERS",
     "Stopwatch",
     "summarize_trace",
     "summarize_spans",

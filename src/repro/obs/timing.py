@@ -1,11 +1,4 @@
-"""Wall-clock accounting: hot-path timers and run stopwatches.
-
-:class:`Timers` accumulates (call count, total seconds) per named section.
-The contract for hot paths is that a *disabled* timer costs one attribute
-read and one branch per guarded call -- the simulator and trial runner
-check ``timers.enabled`` before touching ``perf_counter`` at all, so
-profiling is free when off (measured <1% on the event loop; see
-``docs/observability.md``).
+"""Wall-clock accounting for whole runs.
 
 :class:`Stopwatch` is the one way elapsed wall-clock and trials/sec are
 computed anywhere user-facing: ``mlec-sim simulate``, ``mlec-sim chaos``,
@@ -16,63 +9,8 @@ and the benchmark harness all format their throughput through
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 
-__all__ = ["Timers", "DISABLED_TIMERS", "Stopwatch"]
-
-
-class Timers:
-    """Named wall-clock accumulators with a cheap disabled state."""
-
-    __slots__ = ("enabled", "_calls", "_seconds")
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._calls: dict[str, int] = {}
-        self._seconds: dict[str, float] = {}
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record one timed call (callers guard on :attr:`enabled`)."""
-        self._calls[name] = self._calls.get(name, 0) + 1
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Time a block; a disabled timer yields immediately."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def merge(self, other: Timers) -> None:
-        for name, calls in other._calls.items():
-            self._calls[name] = self._calls.get(name, 0) + calls
-            self._seconds[name] = (
-                self._seconds.get(name, 0.0) + other._seconds[name]
-            )
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """``{section: {"calls": n, "seconds": total}}``, names sorted."""
-        return {
-            name: {
-                "calls": float(self._calls[name]),
-                "seconds": self._seconds[name],
-            }
-            for name in sorted(self._calls)
-        }
-
-    def __bool__(self) -> bool:
-        return bool(self._calls)
-
-
-#: Shared no-op sink for code paths that were not handed a live Timers.
-#: Never accumulates (every guarded site checks ``enabled`` first).
-DISABLED_TIMERS = Timers(enabled=False)
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:

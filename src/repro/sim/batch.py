@@ -69,7 +69,7 @@ from .burst import (
     _grid_cell_trial,
 )
 from .failures import ExponentialFailures, initial_failures
-from .simulator import MLECSystemSimulator, SystemSimResult
+from .simulator import MLECSystemSimulator, SystemSimResult, record_run_metrics
 
 __all__ = [
     "BATCH_MIN_TRIALS",
@@ -403,26 +403,6 @@ def _simple_trial_result(
     )
 
 
-def _record_simple_trial_metrics(
-    ctx: TrialContext, result: SystemSimResult
-) -> None:
-    """Replay ``MLECSystemSimulator.run``'s end-of-run counter block."""
-    if ctx.metrics is None:
-        return
-    m = ctx.metrics
-    m.counter("sim.trials").inc()
-    m.counter("sim.disk_failures").inc(result.n_disk_failures)
-    m.counter("sim.catastrophic_events").inc(0)
-    m.counter("sim.data_loss_events").inc(0)
-    m.counter("sim.cross_rack_repair_bytes").inc(0.0)
-    m.counter("sim.local_repair_bytes").inc(result.local_repair_bytes)
-    m.counter("sim.transient_outages").inc(0)
-    m.counter("sim.sector_errors").inc(0)
-    m.counter("sim.scrubs").inc(0)
-    m.counter("sim.bandwidth_changes").inc(0)
-    m.counter("sim.net_repair_seconds").inc(0.0)
-
-
 #: Replacement draws requested beyond the chain's known length, per
 #: draw call.  Over-drawing is free: the trial's stream is private and
 #: dropped after the walk, and a demoted trial rebuilds its own.
@@ -560,15 +540,8 @@ def simulate_batch_impl(
     scale = 1.0 / model.rate
     total_disks = sim.topo.total_disks
     capacity = scheme.dc.disk_capacity_bytes
-    # The scalar run's local drain window with the nominal bandwidth
-    # factor (1.0): same expression, hence the same float.
-    repair_window = sim.failures.detection_time + capacity / (
-        sim._local_rate * 1.0
-    )
-    if scheme.local_placement is Placement.CLUSTERED:
-        pool_divisor = scheme.params.n_l
-    else:
-        pool_divisor = scheme.dc.disks_per_enclosure
+    # The scalar run's local drain window at the nominal bandwidth factor.
+    repair_window = sim.local_drain_time()
 
     values: list[Any] = []
     batched = 0
@@ -585,7 +558,7 @@ def simulate_batch_impl(
         rng = np.random.default_rng(base_seed + ctx.index)  # simlint: disable=SL002
         disks, times = initial_failures(model, rng, total_disks, mission_time)
         chain_t, _disks, reason = _failure_chain(
-            disks, times, rng, scale, mission_time, pool_divisor,
+            disks, times, rng, scale, mission_time, sim.pool_divisor,
             scheme.params.p_l, repair_window,
         )
         if reason is not None:
@@ -593,7 +566,8 @@ def simulate_batch_impl(
             demotions[reason] += 1
             continue
         result = _simple_trial_result(mission_time, len(chain_t), capacity)
-        _record_simple_trial_metrics(ctx, result)
+        if ctx.metrics is not None:
+            record_run_metrics(ctx.metrics, result)
         values.append(result)
         batched += 1
     return values, BatchStats(batched, dict(demotions))

@@ -29,6 +29,10 @@ class EventType(enum.Enum):
     SCRUB = "scrub"
     END_OF_MISSION = "end-of-mission"
 
+    # Members are singletons, so identity hashing agrees with equality; it
+    # runs in C, where Enum's own hash calls Python on every dispatch.
+    __hash__ = object.__hash__
+
 
 @dataclasses.dataclass(frozen=True)
 class Event:

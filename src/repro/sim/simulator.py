@@ -5,8 +5,8 @@ default setup -- under any failure model (distribution, rules, or trace
 replay), any MLEC scheme, and any repair method:
 
 * every disk failure is an event; pools track their outstanding damage with
-  the same priority-repair state machine as
-  :class:`repro.sim.local_pool.LocalPoolSimulator`;
+  the kernel's damage classes (:mod:`repro.sim.kernel`), as
+  :class:`repro.sim.local_pool.LocalPoolSimulator` does;
 * a pool whose damage reaches ``p_l+1`` on co-striped chunks becomes
   *catastrophic*: the chosen repair method's network stage opens, cross-rack
   repair traffic is accounted, and the pool exits the catastrophic state
@@ -42,23 +42,25 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
+from functools import partial
 from typing import Callable
-
-import numpy as np
 
 from ..analysis.combinatorics import any_of_many
 from ..core.config import BandwidthConfig, FailureConfig, YEAR
 from ..core.scheme import MLECScheme
 from ..core.types import Placement, RepairMethod
-from ..obs import DISABLED_TIMERS, MetricsRegistry, Timers, TraceRecorder
+from ..obs import MetricsRegistry, TraceRecorder
 from ..obs.report import REPAIR_HOURS_BUCKETS
 from ..repair.bandwidth import BandwidthModel
 from ..topology.datacenter import DatacenterTopology
-from .events import Event, EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel, initial_failures
+from .events import Event, EventType
+from .failures import ExponentialFailures, FailureModel
+from .kernel import DamageClasses, EventKernel, PoolDamage
 
-__all__ = ["DataLossEvent", "SystemSimResult", "MLECSystemSimulator"]
+__all__ = [
+    "DataLossEvent", "SystemSimResult", "MLECSystemSimulator",
+    "record_run_metrics",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,20 +105,21 @@ class SystemSimResult:
         return bool(self.data_loss_events)
 
 
-class _PoolState:
-    """Damage bookkeeping for one local pool (see local_pool.py)."""
-
-    __slots__ = ("failed", "offline", "work")
-
-    def __init__(self, parities: int) -> None:
-        self.failed = 0
-        self.offline = 0
-        # Outstanding chunk work per damage class, as plain floats: the
-        # handlers touch single entries, where numpy scalars only add cost.
-        self.work: list[float] = [0.0] * (parities + 1)
-
-    def is_idle(self) -> bool:
-        return self.failed == 0 and self.offline == 0 and not any(self.work)
+def record_run_metrics(metrics: MetricsRegistry, result: SystemSimResult) -> None:
+    """Fold one run's end-of-run counters into ``metrics``."""
+    metrics.counter("sim.trials").inc()
+    metrics.counter("sim.disk_failures").inc(result.n_disk_failures)
+    metrics.counter("sim.catastrophic_events").inc(result.n_catastrophic_events)
+    metrics.counter("sim.data_loss_events").inc(len(result.data_loss_events))
+    metrics.counter("sim.cross_rack_repair_bytes").inc(
+        result.cross_rack_repair_bytes
+    )
+    metrics.counter("sim.local_repair_bytes").inc(result.local_repair_bytes)
+    metrics.counter("sim.transient_outages").inc(result.n_transient_outages)
+    metrics.counter("sim.sector_errors").inc(result.n_sector_errors)
+    metrics.counter("sim.scrubs").inc(result.n_scrubs)
+    metrics.counter("sim.bandwidth_changes").inc(result.n_bandwidth_changes)
+    metrics.counter("sim.net_repair_seconds").inc(result.net_repair_seconds)
 
 
 class _NetRepair:
@@ -139,6 +142,7 @@ class _NetRepair:
         self.total = remaining
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class _RunState:
     """All mutable state of one simulation run.
 
@@ -147,53 +151,35 @@ class _RunState:
     after every event.
     """
 
-    __slots__ = (
-        "rng", "pools", "net_repairs", "latent", "offline_since",
-        "net_factor", "local_factor", "losses",
-        "n_failures", "n_catastrophic", "cross_rack_bytes", "local_bytes",
-        "max_concurrent",
-        "n_transient_outages", "n_unavail", "offline_disk_seconds",
-        "n_sector_errors", "n_latent_detected", "n_latent_induced",
-        "n_latent_induced_chunks", "scrub_repair_bytes", "n_scrubs",
-        "n_bandwidth_changes", "n_repair_replans",
-        "net_repair_seconds", "degraded_repair_seconds",
-        "recorder", "metrics",
-    )
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        recorder: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.rng = rng
-        self.recorder = recorder
-        self.metrics = metrics
-        self.pools: dict[int, _PoolState] = {}
-        self.net_repairs: dict[int, _NetRepair] = {}
-        self.latent: dict[int, int] = {}  # pool id -> latent corrupt chunks
-        self.offline_since: dict[int, float] = {}  # disk id -> offline time
-        self.net_factor = 1.0
-        self.local_factor = 1.0
-        self.losses: list[DataLossEvent] = []
-        self.n_failures = 0
-        self.n_catastrophic = 0
-        self.cross_rack_bytes = 0.0
-        self.local_bytes = 0.0
-        self.max_concurrent = 0
-        self.n_transient_outages = 0
-        self.n_unavail = 0
-        self.offline_disk_seconds = 0.0
-        self.n_sector_errors = 0
-        self.n_latent_detected = 0
-        self.n_latent_induced = 0
-        self.n_latent_induced_chunks = 0
-        self.scrub_repair_bytes = 0.0
-        self.n_scrubs = 0
-        self.n_bandwidth_changes = 0
-        self.n_repair_replans = 0
-        self.net_repair_seconds = 0.0
-        self.degraded_repair_seconds = 0.0
+    kernel: EventKernel
+    recorder: TraceRecorder | None = None
+    metrics: MetricsRegistry | None = None
+    pools: dict[int, PoolDamage] = dataclasses.field(default_factory=dict)
+    net_repairs: dict[int, _NetRepair] = dataclasses.field(default_factory=dict)
+    # pool id -> latent corrupt chunks; disk id -> time it went offline
+    latent: dict[int, int] = dataclasses.field(default_factory=dict)
+    offline_since: dict[int, float] = dataclasses.field(default_factory=dict)
+    net_factor: float = 1.0
+    local_factor: float = 1.0
+    losses: list[DataLossEvent] = dataclasses.field(default_factory=list)
+    n_failures: int = 0
+    n_catastrophic: int = 0
+    cross_rack_bytes: float = 0.0
+    local_bytes: float = 0.0
+    max_concurrent: int = 0
+    n_transient_outages: int = 0
+    n_unavail: int = 0
+    offline_disk_seconds: float = 0.0
+    n_sector_errors: int = 0
+    n_latent_detected: int = 0
+    n_latent_induced: int = 0
+    n_latent_induced_chunks: int = 0
+    scrub_repair_bytes: float = 0.0
+    n_scrubs: int = 0
+    n_bandwidth_changes: int = 0
+    n_repair_replans: int = 0
+    net_repair_seconds: float = 0.0
+    degraded_repair_seconds: float = 0.0
 
 
 #: Observer signature: called after every processed event with the event
@@ -217,10 +203,6 @@ class MLECSystemSimulator:
         A :class:`repro.faults.FaultInjector` (anything exposing a
         ``schedule(queue, mission_time)`` hook) additionally injects
         correlated fault events at run start.
-    timers:
-        Optional :class:`repro.obs.Timers` profiling the hot handlers
-        (``sim.on_disk_failure``, ``sim.advance_net_repairs``).  Defaults
-        to the shared disabled sink, which costs one branch per call.
     """
 
     def __init__(
@@ -230,11 +212,9 @@ class MLECSystemSimulator:
         bw: BandwidthConfig | None = None,
         failures: FailureConfig | None = None,
         failure_model: FailureModel | None = None,
-        timers: Timers | None = None,
     ) -> None:
         self.scheme = scheme
         self.method = method
-        self.timers = timers if timers is not None else DISABLED_TIMERS
         self.bw = bw if bw is not None else BandwidthConfig()
         self.failures = failures if failures is not None else FailureConfig()
         self.failure_model = (
@@ -253,19 +233,23 @@ class MLECSystemSimulator:
         self._p_l = p_l = s.params.p_l
         self._pool_disks = pool_disks = s.local_pool_disks
         self._disk_capacity = s.dc.disk_capacity_bytes
-        self._pool_divisor = n_l if self._clustered else s.dc.disks_per_enclosure
+        #: Disks per local pool id: a pool is ``disk // pool_divisor``.
+        self.pool_divisor = n_l if self._clustered else s.dc.disks_per_enclosure
         chunks = pool_disks * s.dc.disk_capacity_bytes / s.dc.chunk_size_bytes
         self._stripes_per_pool = chunks / n_l
         self._chunks_per_disk = s.dc.disk_capacity_bytes / s.dc.chunk_size_bytes
-        # (class, share) pairs, highest class first: the fraction of a
-        # damage-d stripe class that one more failed disk promotes to d+1.
-        self._promotion = [
-            (d, (n_l - d) / (pool_disks - d)) for d in range(p_l - 1, 0, -1)
-        ]
+        self._classes = DamageClasses(n_l, pool_disks, p_l, self._chunks_per_disk)
 
     # ------------------------------------------------------------------
     def _pool_of_disk(self, disk_id: int) -> int:
-        return disk_id // self._pool_divisor
+        return disk_id // self.pool_divisor
+
+    def local_drain_time(self, local_factor: float = 1.0) -> float:
+        """Seconds from a disk failure until its pool's local repair of it
+        completes, at ``local_factor`` times the local repair bandwidth."""
+        return self.failures.detection_time + self._disk_capacity / (
+            self._local_rate * local_factor
+        )
 
     def _network_stage_bytes(self, lost_stripes: float) -> float:
         """Bytes the network stage must rebuild for this method."""
@@ -312,17 +296,6 @@ class MLECSystemSimulator:
         called (and is) before every rate change; completed repairs leave
         the catastrophic set.
         """
-        timers = self.timers
-        if not timers.enabled:
-            self._advance_net_repairs_impl(st, now)
-            return
-        start = time.perf_counter()
-        try:
-            self._advance_net_repairs_impl(st, now)
-        finally:
-            timers.add("sim.advance_net_repairs", time.perf_counter() - start)
-
-    def _advance_net_repairs_impl(self, st: _RunState, now: float) -> None:
         rate = self._network_rate * st.net_factor
         done = []
         for pool_id, rep in st.net_repairs.items():
@@ -374,7 +347,7 @@ class MLECSystemSimulator:
         racks = {pid // ppr for pid in concurrent}
         st.max_concurrent = max(st.max_concurrent, len(concurrent))
         if len(racks) >= s.params.p_n + 1:
-            if st.rng.random() < self._share_probability(len(racks), rho):
+            if st.kernel.bernoulli(self._share_probability(len(racks), rho)):
                 loss = DataLossEvent(time=now, pools=tuple(sorted(concurrent)))
                 st.losses.append(loss)
                 if st.recorder is not None:
@@ -437,22 +410,7 @@ class MLECSystemSimulator:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _on_disk_failure(
-        self, st: _RunState, event: Event, queue: EventQueue, mission_time: float
-    ) -> None:
-        timers = self.timers
-        if not timers.enabled:
-            self._on_disk_failure_impl(st, event, queue, mission_time)
-            return
-        start = time.perf_counter()
-        try:
-            self._on_disk_failure_impl(st, event, queue, mission_time)
-        finally:
-            timers.add("sim.on_disk_failure", time.perf_counter() - start)
-
-    def _on_disk_failure_impl(
-        self, st: _RunState, event: Event, queue: EventQueue, mission_time: float
-    ) -> None:
+    def _on_disk_failure(self, st: _RunState, event: Event) -> None:
         p_l = self._p_l
         now = event.time
         st.n_failures += 1
@@ -460,7 +418,7 @@ class MLECSystemSimulator:
         pool_id = self._pool_of_disk(disk)
         state = st.pools.get(pool_id)
         if state is None:
-            state = st.pools[pool_id] = _PoolState(p_l)
+            state = st.pools[pool_id] = PoolDamage(self._classes)
         latent = st.latent.get(pool_id, 0)
         if st.recorder is not None:
             st.recorder.event(
@@ -488,18 +446,17 @@ class MLECSystemSimulator:
                 st.latent.pop(pool_id, None)
                 st.n_latent_detected += latent
                 st.n_latent_induced_chunks += latent
-        elif state.work[p_l] > 1e-6:
-            n_l = self._n_l
-            pool_disks = self._pool_disks
-            critical = state.work[p_l]
-            hits = critical * ((n_l - p_l) / (pool_disks - p_l))
-            if latent:
-                # Chance that a damage-p_l stripe also depends on one of
-                # the pool's latent chunks (uniform spread approximation).
-                surviving = (pool_disks - p_l) * self._chunks_per_disk
-                hits += critical * latent * (n_l - p_l) / surviving
-            if st.rng.random() < min(1.0, hits):
-                lost_stripes = max(1.0, hits)
+        else:
+            hits = state.critical_hits()
+            if hits > 0.0:
+                if latent:
+                    # Chance that a damage-p_l stripe also depends on one
+                    # of the pool's latent chunks (uniform spread
+                    # approximation).
+                    surviving = (self._pool_disks - p_l) * self._chunks_per_disk
+                    hits += state.work[p_l] * latent * (self._n_l - p_l) / surviving
+                if st.kernel.bernoulli(min(1.0, hits)):
+                    lost_stripes = max(1.0, hits)
 
         if lost_stripes > 0.0:
             self._register_catastrophe(
@@ -509,12 +466,7 @@ class MLECSystemSimulator:
         # Damage bookkeeping (promotion of unrepaired damage).
         combined_before = state.failed + state.offline
         if not self._clustered:
-            work = state.work
-            for d, share in self._promotion:
-                promoted = work[d] * share
-                work[d + 1] += promoted
-                work[d] -= promoted
-            work[1] += self._chunks_per_disk
+            state.promote()
         state.failed = min(state.failed + 1, p_l)
         if combined_before <= p_l < state.failed + state.offline:
             # Together with transiently offline disks the pool now exceeds
@@ -525,16 +477,13 @@ class MLECSystemSimulator:
         # repair latency (coarse but conservative for the damage window;
         # the pool-level simulator refines this).  A degraded local
         # bandwidth budget stretches the drain accordingly.
-        local_disk_time = (
-            self.failures.detection_time
-            + self._disk_capacity / (self._local_rate * st.local_factor)
+        st.kernel.queue.push(
+            now + self.local_drain_time(st.local_factor),
+            EventType.REPAIR_COMPLETE,
+            pool_id,
         )
-        queue.push(now + local_disk_time, EventType.REPAIR_COMPLETE, pool_id)
         st.local_bytes += self._disk_capacity
-        # Replacement disk enters service.
-        t = self.failure_model.time_to_failure(st.rng, disk, now)
-        if t <= mission_time:
-            queue.push(t, EventType.DISK_FAILURE, disk)
+        st.kernel.replace(disk, now)
 
     def _on_repair_complete(self, st: _RunState, event: Event) -> None:
         pool_id = event.payload
@@ -543,16 +492,7 @@ class MLECSystemSimulator:
             return
         state.failed = max(0, state.failed - 1)
         if not self._clustered:
-            # One disk's worth of chunk repairs drains, highest classes
-            # first.
-            work = state.work
-            budget = self._chunks_per_disk
-            for d in range(self._p_l, 0, -1):
-                take = min(work[d], budget)
-                work[d] -= take
-                budget -= take
-                if budget <= 0:
-                    break
+            state.drain()
         # Repair reads sweep the pool's surviving disks, so any latent
         # sector errors are detected (and re-written) as a side effect.
         latent = st.latent.pop(pool_id, 0)
@@ -582,7 +522,7 @@ class MLECSystemSimulator:
             pool_id = self._pool_of_disk(disk)
             by_pool[pool_id] = by_pool.get(pool_id, 0) + 1
         for pool_id, count in by_pool.items():
-            state = st.pools.setdefault(pool_id, _PoolState(p_l))
+            state = st.pools.setdefault(pool_id, PoolDamage(self._classes))
             before = state.failed + state.offline
             state.offline += count
             if before <= p_l < state.failed + state.offline:
@@ -694,61 +634,30 @@ class MLECSystemSimulator:
         and the network-repair-time histogram; both are deterministic
         functions of (scheme, seed, mission_time).
         """
-        if math.isnan(mission_time) or not mission_time > 0:
-            raise ValueError(
-                f"mission_time must be a positive number of seconds, "
-                f"got {mission_time!r}"
-            )
-        if math.isinf(mission_time):
-            raise ValueError("mission_time must be finite")
-        rng = np.random.default_rng(seed)
-        queue = EventQueue()
-        queue.push(mission_time, EventType.END_OF_MISSION)
-
-        # Correlated-fault injection hook (see repro.faults.FaultInjector).
-        schedule = getattr(self.failure_model, "schedule", None)
-        if callable(schedule):
-            schedule(queue, mission_time)
-
-        # The disks that fail inside the mission, in disk order.
-        disks, times = initial_failures(
-            self.failure_model, rng, self.topo.total_disks, mission_time
+        kernel = EventKernel(
+            self.failure_model, self.topo.total_disks, mission_time, seed
         )
-        for disk, t in zip(disks.tolist(), times.tolist()):
-            queue.push(t, EventType.DISK_FAILURE, disk)
-
-        st = _RunState(rng, recorder=recorder, metrics=metrics)
-        while True:
-            event = queue.pop()
-            if event is None or event.kind is EventType.END_OF_MISSION:
-                # Bank the tail: repair progress and offline time up to
-                # the end of the mission.
-                self._advance_net_repairs(st, mission_time)
-                for start in st.offline_since.values():
-                    st.offline_disk_seconds += mission_time - start
-                if observer is not None and event is not None:
-                    observer(event, st)
-                break
-
-            kind = event.kind
-            if kind is EventType.DISK_FAILURE:
-                self._on_disk_failure(st, event, queue, mission_time)
-            elif kind is EventType.REPAIR_COMPLETE:
-                self._on_repair_complete(st, event)
-            elif kind is EventType.TRANSIENT_OFFLINE:
-                self._on_transient_offline(st, event)
-            elif kind is EventType.TRANSIENT_ONLINE:
-                self._on_transient_online(st, event)
-            elif kind is EventType.SECTOR_ERROR:
-                self._on_sector_error(st, event)
-            elif kind is EventType.SCRUB:
-                self._on_scrub(st, event)
-            elif kind is EventType.BANDWIDTH_CHANGE:
-                self._on_bandwidth_change(st, event)
-            else:
-                raise ValueError(f"simulator cannot handle event kind {kind}")
-            if observer is not None:
-                observer(event, st)
+        st = _RunState(kernel, recorder=recorder, metrics=metrics)
+        handlers = {
+            EventType.DISK_FAILURE: partial(self._on_disk_failure, st),
+            EventType.REPAIR_COMPLETE: partial(self._on_repair_complete, st),
+            EventType.TRANSIENT_OFFLINE: partial(self._on_transient_offline, st),
+            EventType.TRANSIENT_ONLINE: partial(self._on_transient_online, st),
+            EventType.SECTOR_ERROR: partial(self._on_sector_error, st),
+            EventType.SCRUB: partial(self._on_scrub, st),
+            EventType.BANDWIDTH_CHANGE: partial(self._on_bandwidth_change, st),
+        }
+        last = kernel.run(
+            handlers,
+            None if observer is None else lambda event: observer(event, st),
+        )
+        # Bank the tail: repair progress and offline time up to the end of
+        # the mission.
+        self._advance_net_repairs(st, mission_time)
+        for start in st.offline_since.values():
+            st.offline_disk_seconds += mission_time - start
+        if observer is not None and last is not None:
+            observer(last, st)
 
         if recorder is not None:
             recorder.event(
@@ -761,20 +670,7 @@ class MLECSystemSimulator:
                 local_bytes=st.local_bytes,
                 max_concurrent_catastrophic=st.max_concurrent,
             )
-        if metrics is not None:
-            metrics.counter("sim.trials").inc()
-            metrics.counter("sim.disk_failures").inc(st.n_failures)
-            metrics.counter("sim.catastrophic_events").inc(st.n_catastrophic)
-            metrics.counter("sim.data_loss_events").inc(len(st.losses))
-            metrics.counter("sim.cross_rack_repair_bytes").inc(st.cross_rack_bytes)
-            metrics.counter("sim.local_repair_bytes").inc(st.local_bytes)
-            metrics.counter("sim.transient_outages").inc(st.n_transient_outages)
-            metrics.counter("sim.sector_errors").inc(st.n_sector_errors)
-            metrics.counter("sim.scrubs").inc(st.n_scrubs)
-            metrics.counter("sim.bandwidth_changes").inc(st.n_bandwidth_changes)
-            metrics.counter("sim.net_repair_seconds").inc(st.net_repair_seconds)
-
-        return SystemSimResult(
+        result = SystemSimResult(
             mission_time=mission_time,
             n_disk_failures=st.n_failures,
             n_catastrophic_events=st.n_catastrophic,
@@ -795,3 +691,6 @@ class MLECSystemSimulator:
             net_repair_seconds=st.net_repair_seconds,
             degraded_repair_seconds=st.degraded_repair_seconds,
         )
+        if metrics is not None:
+            record_run_metrics(metrics, result)
+        return result

@@ -6,7 +6,7 @@ disk-level failure stream, but single-level pools:
 * **Local-Cp** -- ``k+p``-disk pools, sequential spare rebuilds; data loss
   as soon as a pool holds more than ``p`` concurrently-unrepaired disks.
 * **Local-Dp** -- enclosure pools with priority reconstruction (the
-  damage-class work queue of :mod:`repro.sim.local_pool`); loss when a new
+  kernel's damage classes, :mod:`repro.sim.kernel`); loss when a new
   failure hits an outstanding damage-``p`` stripe.
 * **Network-Cp / Network-Dp / LRC-Dp** -- network-wide pools; repairs
   consume cross-rack bandwidth and every rebuilt byte is accounted as
@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from ..core.arrays import AnyArray
 from ..core.config import BandwidthConfig, FailureConfig, YEAR
 from ..core.scheme import LRCScheme, SLECScheme
 from ..core.types import Level, Placement
 from ..obs import MetricsRegistry, TraceRecorder
-from .events import EventQueue, EventType
-from .failures import ExponentialFailures, FailureModel, initial_failures
+from .events import Event, EventType
+from .failures import ExponentialFailures, FailureModel
+from .kernel import DamageClasses, EventKernel, PoolDamage
 
 __all__ = ["SingleLevelSimResult", "SLECSystemSimulator"]
 
@@ -87,8 +85,8 @@ class SLECSystemSimulator:
         )
         self._is_lrc = isinstance(scheme, LRCScheme)
         dc = scheme.dc
+        self.width = scheme.params.n
         if self._is_lrc:
-            self.width = scheme.params.n
             self.tolerance = scheme.params.r + 1  # guaranteed erasures
             self.local = False
             self.clustered = False
@@ -96,7 +94,6 @@ class SLECSystemSimulator:
             self.read_amp = scheme.params.group_size
             self.cross_rack = True
         else:
-            self.width = scheme.params.n
             self.tolerance = scheme.params.p
             self.local = scheme.level is Level.LOCAL
             self.clustered = scheme.placement is Placement.CLUSTERED
@@ -106,8 +103,9 @@ class SLECSystemSimulator:
             scheme.pool_disks if not self._is_lrc else dc.total_disks
         )
         self.chunks_per_disk = dc.disk_capacity_bytes / dc.chunk_size_bytes
-        chunks = self.pool_disks * self.chunks_per_disk
-        self.stripes_per_pool = chunks / self.width
+        self._classes = DamageClasses(
+            self.width, self.pool_disks, self.tolerance, self.chunks_per_disk
+        )
         self._repair_rate = self._compute_repair_rate()
 
     # ------------------------------------------------------------------
@@ -139,14 +137,6 @@ class SLECSystemSimulator:
             return disk // self.width
         return disk // dc.disks_per_enclosure
 
-    def _class_size(self, damage: int) -> float:
-        if self.clustered:
-            return self.stripes_per_pool
-        frac = 1.0
-        for j in range(damage):
-            frac *= (self.width - j) / (self.pool_disks - j)
-        return self.stripes_per_pool * frac
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -162,20 +152,8 @@ class SLECSystemSimulator:
         counters.  Both are deterministic functions of the seed.
         """
         dc = self.scheme.dc
-        rng = np.random.default_rng(seed)
-        queue = EventQueue()
-        queue.push(mission_time, EventType.END_OF_MISSION)
-
-        disks, times = initial_failures(
-            self.failure_model, rng, dc.total_disks, mission_time
-        )
-        for disk, t in zip(disks.tolist(), times.tolist()):
-            queue.push(t, EventType.DISK_FAILURE, disk)
-
-        # Per-pool state: clustered -> count of unrepaired disks;
-        # declustered -> damage-class work vector.
-        counts: dict[int, int] = {}
-        work: dict[int, AnyArray] = {}
+        kernel = EventKernel(self.failure_model, dc.total_disks, mission_time, seed)
+        pools: dict[int, PoolDamage] = {}
         t_cap = self.tolerance
         n_failures = 0
         losses = 0
@@ -196,85 +174,61 @@ class SLECSystemSimulator:
         else:
             fatal_fraction = 1.0
 
-        while True:
-            event = queue.pop()
-            if event is None or event.kind is EventType.END_OF_MISSION:
-                break
+        def on_failure(event: Event) -> None:
+            nonlocal n_failures, losses, first_loss, cross_bytes, intra_bytes
             now = event.time
+            n_failures += 1
+            disk = event.payload
+            pool = self._pool_of_disk(disk)
+            damage = pools.setdefault(pool, PoolDamage(self._classes))
+            if self.clustered:
+                lost_here = damage.failed >= t_cap
+                damage.failed = min(damage.failed + 1, t_cap)
+            else:
+                hits = damage.critical_hits()
+                lost_here = hits > 0.0 and kernel.bernoulli(
+                    min(1.0, hits) * fatal_fraction
+                )
+                damage.promote()
+            if lost_here:
+                losses += 1
+                if first_loss is None:
+                    first_loss = now
 
-            if event.kind is EventType.DISK_FAILURE:
-                n_failures += 1
-                disk = event.payload
-                pool = self._pool_of_disk(disk)
-                lost_here = False
+            # Repair traffic: rebuilt disk + its read amplification.
+            moved = disk_bytes * (self.read_amp + 1)
+            if self.cross_rack:
+                cross_bytes += moved
+            else:
+                intra_bytes += moved
+            kernel.queue.push(now + repair_latency, EventType.REPAIR_COMPLETE, pool)
+            if recorder is not None:
+                recorder.event(
+                    now,
+                    "slec.disk_failure",
+                    pool=pool,
+                    disk=int(disk),
+                    cross_rack=self.cross_rack,
+                )
+                if lost_here:
+                    recorder.event(now, "slec.data_loss", pool=pool)
+            kernel.replace(disk, now)
 
-                if self.clustered:
-                    current = counts.get(pool, 0)
-                    if current >= t_cap:
-                        losses += 1
-                        lost_here = True
-                        first_loss = first_loss if first_loss is not None else now
-                    else:
-                        counts[pool] = current + 1
-                else:
-                    w = work.setdefault(pool, np.zeros(t_cap + 1))
-                    if w[t_cap] > 1e-6:
-                        hits = w[t_cap] * (
-                            (self.width - t_cap) / (self.pool_disks - t_cap)
-                        )
-                        if rng.random() < min(1.0, hits) * fatal_fraction:
-                            losses += 1
-                            lost_here = True
-                            first_loss = (
-                                first_loss if first_loss is not None else now
-                            )
-                    for d in range(t_cap - 1, 0, -1):
-                        share = (self.width - d) / (self.pool_disks - d)
-                        promoted = w[d] * share
-                        w[d + 1] += promoted
-                        w[d] -= promoted
-                    w[1] += self.chunks_per_disk
+        def on_repair(event: Event) -> None:
+            damage = pools.get(event.payload)
+            if damage is None:
+                return
+            if self.clustered:
+                damage.failed = max(0, damage.failed - 1)
+            else:
+                damage.drain()
+            if damage.is_idle():
+                del pools[event.payload]
 
-                # Repair traffic: rebuilt disk + its read amplification.
-                moved = disk_bytes * (self.read_amp + 1)
-                if self.cross_rack:
-                    cross_bytes += moved
-                else:
-                    intra_bytes += moved
-                queue.push(now + repair_latency, EventType.REPAIR_COMPLETE, pool)
-                if recorder is not None:
-                    recorder.event(
-                        now,
-                        "slec.disk_failure",
-                        pool=pool,
-                        disk=int(disk),
-                        cross_rack=self.cross_rack,
-                    )
-                    if lost_here:
-                        recorder.event(now, "slec.data_loss", pool=pool)
-                t = self.failure_model.time_to_failure(rng, disk, now)
-                if t <= mission_time:
-                    queue.push(t, EventType.DISK_FAILURE, disk)
-
-            elif event.kind is EventType.REPAIR_COMPLETE:
-                pool = event.payload
-                if self.clustered:
-                    if counts.get(pool, 0) > 0:
-                        counts[pool] -= 1
-                        if counts[pool] == 0:
-                            counts.pop(pool, None)
-                else:
-                    w = work.get(pool)
-                    if w is not None:
-                        budget = self.chunks_per_disk
-                        for d in range(t_cap, 0, -1):
-                            take = min(w[d], budget)
-                            w[d] -= take
-                            budget -= take
-                            if budget <= 0:
-                                break
-                        if not w.any():
-                            work.pop(pool, None)
+        kernel.run({
+            EventType.DISK_FAILURE: on_failure,
+            EventType.REPAIR_COMPLETE: on_repair,
+        })
 
         if recorder is not None:
             recorder.event(

@@ -26,7 +26,8 @@ from repro.sim.failures import (
     TraceFailures,
     initial_failures,
 )
-from repro.sim.simulator import MLECSystemSimulator, _PoolState
+from repro.sim.kernel import PoolDamage
+from repro.sim.simulator import MLECSystemSimulator
 
 DC = chaos_datacenter()
 
@@ -424,7 +425,7 @@ class TestInvariantChecker:
         total = sim.scheme.total_local_pools
 
         def pool(failed=0, offline=0, work=(0.0, 0.0, 0.0, 0.0)):
-            state = _PoolState(3)
+            state = PoolDamage(sim._classes)
             state.failed, state.offline = failed, offline
             state.work = np.array(work)
             return state

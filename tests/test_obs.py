@@ -1,4 +1,4 @@
-"""repro.obs: metrics semantics, trace schema round-trips, timers,
+"""repro.obs: metrics semantics, trace schema round-trips,
 stopwatch formatting, OpenMetrics exposition, trace reports, and the
 CLI observability surface."""
 
@@ -11,13 +11,11 @@ import pytest
 
 from repro.cli import main as mlec_main
 from repro.obs import (
-    DISABLED_TIMERS,
     OPENMETRICS_CONTENT_TYPE,
     TRACE_SCHEMA_VERSION,
     MetricsExporter,
     MetricsRegistry,
     Stopwatch,
-    Timers,
     TraceRecorder,
     parse_openmetrics,
     read_jsonl,
@@ -230,44 +228,6 @@ class TestTraceRecorder:
 
 
 # ------------------------------------------------------------------ timing
-class TestTimers:
-    def test_section_accumulates_when_enabled(self):
-        timers = Timers()
-        with timers.section("sim.event_loop"):
-            pass
-        with timers.section("sim.event_loop"):
-            pass
-        snap = timers.snapshot()
-        assert snap["sim.event_loop"]["calls"] == 2.0
-        assert snap["sim.event_loop"]["seconds"] >= 0.0
-
-    def test_disabled_timer_records_nothing(self):
-        timers = Timers(enabled=False)
-        with timers.section("sim.event_loop"):
-            pass
-        assert timers.snapshot() == {}
-        assert not DISABLED_TIMERS.enabled
-        assert DISABLED_TIMERS.snapshot() == {}
-
-    def test_enabled_but_empty_is_falsy(self):
-        """`timers or DISABLED_TIMERS` would drop a live sink; instances
-        must be compared against None instead (the simulator does)."""
-        timers = Timers()
-        assert not timers
-        timers.add("sim.event_loop", 0.1)
-        assert timers
-
-    def test_merge_sums_calls_and_seconds(self):
-        left, right = Timers(), Timers()
-        left.add("sim.event_loop", 1.0)
-        right.add("sim.event_loop", 2.0)
-        right.add("sim.repairs", 0.5)
-        left.merge(right)
-        snap = left.snapshot()
-        assert snap["sim.event_loop"] == {"calls": 2.0, "seconds": 3.0}
-        assert snap["sim.repairs"] == {"calls": 1.0, "seconds": 0.5}
-
-
 class TestStopwatch:
     def test_stop_is_idempotent(self):
         watch = Stopwatch()

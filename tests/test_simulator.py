@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PAPER_MLEC, YEAR
-from repro.core.scheme import mlec_scheme_from_name
-from repro.core.types import RepairMethod
+from repro.core.config import PAPER_MLEC, SLECParams, YEAR
+from repro.core.scheme import SLECScheme, mlec_scheme_from_name
+from repro.core.types import Level, Placement, RepairMethod
 from repro.sim.failures import ExponentialFailures, TraceFailures
+from repro.sim.local_pool import LocalPoolSimulator
 from repro.sim.simulator import MLECSystemSimulator
+from repro.sim.slec_sim import SLECSystemSimulator
 from repro.sim.traces import SyntheticTraceGenerator
 
 
@@ -60,10 +62,25 @@ class TestFailureStatistics:
 
 
 class TestMissionTimeValidation:
+    """The kernel's one mission-time check guards all three simulators:
+    an infinite mission never ends, and a zero-length one has no yearly
+    rate."""
+
+    @pytest.mark.parametrize("make", [
+        simulator,
+        lambda: SLECSystemSimulator(
+            SLECScheme(SLECParams(7, 3), Level.LOCAL, Placement.CLUSTERED)
+        ),
+        lambda: LocalPoolSimulator(
+            pool_disks=20, stripe_width=20, parities=3, clustered=True,
+            disk_capacity_bytes=20e12, chunk_size_bytes=128 * 1024,
+            repair_rate=40e6, detection_time=1800,
+        ),
+    ], ids=["mlec", "slec", "local-pool"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_non_positive_or_non_finite_mission_rejected(self, bad):
+    def test_non_positive_or_non_finite_mission_rejected(self, bad, make):
         with pytest.raises(ValueError, match="mission_time"):
-            simulator().run(mission_time=bad, seed=0)
+            make().run(mission_time=bad, seed=0)
 
 
 class TestAcceleratedBehaviour:

@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import DatacenterConfig, LRCParams, SLECParams, YEAR
 from repro.core.scheme import LRCScheme, SLECScheme
 from repro.core.types import Level, Placement
+from repro.faults import FaultInjector
 from repro.repair.traffic_comparison import (
     lrc_annual_cross_rack_traffic,
     slec_annual_cross_rack_traffic,
@@ -21,6 +22,12 @@ from repro.sim.slec_sim import SLECSystemSimulator
 
 def slec(level, placement, k=7, p=3):
     return SLECScheme(SLECParams(k, p), level, placement)
+
+
+#: An 800-disk deployment (20 racks x 2 enclosures x 20 disks): small
+#: enough for a one-year run in milliseconds, dense enough that every
+#: layout loses data at AFR 0.9.
+PIN_DC = DatacenterConfig(racks=20, enclosures_per_rack=2, disks_per_enclosure=20)
 
 
 class TestStatistics:
@@ -98,6 +105,17 @@ class TestDataLoss:
         assert r.n_disk_failures > 10_000
         assert r.data_loss_events > 0
 
+    def test_injected_faults_are_rejected_not_dropped(self):
+        """SLEC has no handler for scrubs or outages: a fault injector's
+        events raise instead of vanishing from the run."""
+        injector = FaultInjector(dc=PIN_DC, scrub_period=YEAR / 12)
+        sim = SLECSystemSimulator(
+            SLECScheme(SLECParams(7, 3), Level.LOCAL, Placement.CLUSTERED, PIN_DC),
+            failure_model=injector,
+        )
+        with pytest.raises(ValueError, match="cannot handle"):
+            sim.run(mission_time=YEAR, seed=0)
+
     def test_net_dp_alignment_protects_at_moderate_rates(self):
         """A system-wide declustered pool has few critical stripes, so the
         4th concurrent failure rarely aligns -- no loss in a short run even
@@ -109,12 +127,6 @@ class TestDataLoss:
         r = sim.run(mission_time=YEAR / 2, seed=9)
         assert r.n_disk_failures > 2000
         assert r.data_loss_events < 3
-
-
-#: An 800-disk deployment (20 racks x 2 enclosures x 20 disks): small
-#: enough for a one-year run in milliseconds, dense enough that every
-#: layout loses data at AFR 0.9.
-PIN_DC = DatacenterConfig(racks=20, enclosures_per_rack=2, disks_per_enclosure=20)
 
 
 class TestGoldenArtifacts:
