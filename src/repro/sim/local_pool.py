@@ -124,6 +124,8 @@ class LocalPoolSimulator:
         max_concurrent = 0
         on_failure = handlers[EventType.DISK_FAILURE]
 
+        # Both policies report failures and the peak of ``damage.failed``
+        # the same way, the failure that stops the run included.
         def count_failure(event: Event) -> bool | None:
             nonlocal n_failures, max_concurrent
             n_failures += 1
@@ -154,7 +156,7 @@ class LocalPoolSimulator:
         disk_time = self.disk_capacity_bytes / self.repair_rate
 
         def on_failure(event: Event) -> bool:
-            idle = damage.failed == 0
+            idle = damage.failed == 0  # a rebuild is pending iff disks are down
             if damage.failed >= self.parities:
                 # Every stripe spans every disk: certain data loss.
                 samples.append(

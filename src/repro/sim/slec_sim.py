@@ -180,7 +180,9 @@ class SLECSystemSimulator:
             n_failures += 1
             disk = event.payload
             pool = self._pool_of_disk(disk)
-            damage = pools.setdefault(pool, PoolDamage(self._classes))
+            damage = pools.get(pool)
+            if damage is None:
+                damage = pools[pool] = PoolDamage(self._classes)
             if self.clustered:
                 lost_here = damage.failed >= t_cap
                 damage.failed = min(damage.failed + 1, t_cap)
