@@ -139,9 +139,7 @@ def _make_runner(args: argparse.Namespace) -> ResilientRunner:
     if args.backend != "local":
         from .runtime.executors import make_backend
 
-        backend = make_backend(
-            args.backend, workers=args.workers, lease_timeout=args.lease_timeout
-        )
+        backend = make_backend(args.backend, lease_timeout=args.lease_timeout)
         if backend is not None:
             backend.start()
             host, port = backend.address
@@ -536,7 +534,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     campaign = ChaosCampaign(
         schemes=schemes, params=args.code, trials=args.trials,
-        scenarios=scenarios, workers=args.workers, runner=runner,
+        scenarios=scenarios, runner=runner,
     )
     watch = Stopwatch()
     report = _run_campaign(

@@ -4,9 +4,7 @@ The unit aliases (:data:`Seconds`, :data:`Hours`, :data:`Years`,
 :data:`Bytes`, :data:`GiB`, :data:`MiBps`) are :func:`typing.NewType`
 wrappers over ``float``: identity at runtime, distinct to type checkers.
 APIs that take or return a physical quantity annotate it with one of
-these; call sites convert with the explicit helpers below instead of
-relabelling (``Hours(x)`` on a ``Seconds`` value is a unit bug -- use
-:func:`seconds_to_hours`).
+these.
 """
 
 from __future__ import annotations
@@ -25,15 +23,6 @@ __all__ = [
     "Bytes",
     "GiB",
     "MiBps",
-    "seconds_to_hours",
-    "hours_to_seconds",
-    "hours_to_years",
-    "years_to_hours",
-    "seconds_to_years",
-    "years_to_seconds",
-    "bytes_to_gib",
-    "gib_to_bytes",
-    "mibps_to_bytes_per_second",
 ]
 
 #: Wall-clock / simulated time in seconds.
@@ -48,47 +37,6 @@ Bytes = NewType("Bytes", float)
 GiB = NewType("GiB", float)
 #: A data rate in binary mebibytes per second.
 MiBps = NewType("MiBps", float)
-
-_HOUR_S = 3600.0
-_YEAR_HOURS = 365.0 * 24.0
-_GIB = float(2**30)
-_MIB = float(2**20)
-
-
-def seconds_to_hours(value: Seconds) -> Hours:
-    return Hours(value / _HOUR_S)
-
-
-def hours_to_seconds(value: Hours) -> Seconds:
-    return Seconds(value * _HOUR_S)
-
-
-def hours_to_years(value: Hours) -> Years:
-    return Years(value / _YEAR_HOURS)
-
-
-def years_to_hours(value: Years) -> Hours:
-    return Hours(value * _YEAR_HOURS)
-
-
-def seconds_to_years(value: Seconds) -> Years:
-    return Years(value / (_YEAR_HOURS * _HOUR_S))
-
-
-def years_to_seconds(value: Years) -> Seconds:
-    return Seconds(value * _YEAR_HOURS * _HOUR_S)
-
-
-def bytes_to_gib(value: Bytes) -> GiB:
-    return GiB(value / _GIB)
-
-
-def gib_to_bytes(value: GiB) -> Bytes:
-    return Bytes(value * _GIB)
-
-
-def mibps_to_bytes_per_second(value: MiBps) -> float:
-    return value * _MIB
 
 
 class Placement(enum.Enum):

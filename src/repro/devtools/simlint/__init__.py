@@ -15,7 +15,6 @@ syntax, the seeded-bug audit behind the rule set, and how to add a rule.
 
 from __future__ import annotations
 
-from .cache import DEFAULT_CACHE_PATH, run_with_cache
 from .core import (
     META_RULE_ID,
     RULE_REGISTRY,
@@ -36,6 +35,4 @@ __all__ = [
     "register_rule",
     "Linter",
     "LintError",
-    "DEFAULT_CACHE_PATH",
-    "run_with_cache",
 ]

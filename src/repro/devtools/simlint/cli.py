@@ -11,7 +11,6 @@ import argparse
 import sys
 from typing import Sequence, TextIO
 
-from .cache import DEFAULT_CACHE_PATH, run_with_cache
 from .core import RULE_REGISTRY, LintError, Linter
 
 __all__ = ["build_parser", "main"]
@@ -34,13 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules", metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE_PATH,
-        help=(
-            "reuse per-file results keyed by content hash "
-            f"(default path: {DEFAULT_CACHE_PATH})"
-        ),
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -71,11 +63,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         selected = {r.strip() for r in args.rules.split(",") if r.strip()}
 
     try:
-        linter = Linter(rules=selected)
-        if args.cache:
-            findings = run_with_cache(linter, list(args.paths), args.cache)
-        else:
-            findings = linter.run(list(args.paths))
+        findings = Linter(rules=selected).run(list(args.paths))
     except LintError as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2

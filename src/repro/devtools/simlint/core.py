@@ -8,7 +8,7 @@ ordinary linters cannot know about.  Everything is stdlib-only (``ast`` +
 
 Rules are classes registered by id (``SL001`` ...).  Each rule sees one
 file at a time via :meth:`Rule.visit_file`, so a file's findings depend
-on that file alone -- which is what lets the cache reuse them per file.
+on that file alone.
 
 Suppression is per line and per rule::
 
@@ -68,25 +68,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict[str, object]) -> Finding:
-        return cls(
-            path=str(obj["path"]),
-            line=int(obj["line"]),  # type: ignore[arg-type]
-            col=int(obj["column"]),  # type: ignore[arg-type]
-            rule=str(obj["rule"]),
-            message=str(obj["message"]),
-        )
 
 
 class FileContext:
@@ -237,7 +218,7 @@ class Linter:
                 unique.append(f)
         return unique
 
-    # -- pipeline stages (the cache orchestrates these individually) ----
+    # -- pipeline stages ------------------------------------------------
     def parse(
         self, files: list[Path]
     ) -> tuple[list[FileContext], list[Finding]]:

@@ -36,7 +36,7 @@ from ..core.scheme import MLEC_SCHEME_NAMES, MLECScheme, mlec_scheme_from_name
 from ..core.types import RepairMethod
 from ..obs import MetricsRegistry, TraceRecorder
 from ..reporting import format_matrix, format_table
-from ..runtime import ChunkExecutor, TrialContext, TrialRunner
+from ..runtime import TrialContext, TrialRunner
 from ..sim.failures import ExponentialFailures
 from ..sim.simulator import MLECSystemSimulator
 from .events import (
@@ -357,19 +357,14 @@ class ChaosCampaign:
     check_invariants:
         Audit every event with an :class:`InvariantChecker` (non-strict:
         violations are counted in the report rather than raised).
-    workers / runner:
-        Fan the flattened (scenario, scheme, trial) sweep out over a
-        :class:`~repro.runtime.TrialRunner`; results are identical for any
-        worker count.  A :class:`~repro.runtime.ResilientRunner` makes the
+    runner:
+        The :class:`~repro.runtime.TrialRunner` the flattened (scenario,
+        scheme, trial) sweep fans out over (default: an in-process
+        ``TrialRunner()``); results are identical for any worker count or
+        backend.  A :class:`~repro.runtime.ResilientRunner` makes the
         campaign checkpointable and crash-tolerant (the flattened sweep is
         one journal sweep, so resume skips completed scenario/scheme/trial
         chunks).
-    backend:
-        Optional :class:`~repro.runtime.ChunkExecutor` deciding where
-        trial chunks run (e.g. a
-        :class:`~repro.runtime.TcpWorkQueueBackend` coordinating remote
-        ``mlec-sim workers`` hosts).  Mutually exclusive with ``runner``
-        -- pass the backend to your runner instead when you build one.
     """
 
     def __init__(
@@ -383,17 +378,10 @@ class ChaosCampaign:
         trials: int = 5,
         scenarios: Sequence[ChaosScenario] | None = None,
         check_invariants: bool = True,
-        workers: int = 1,
         runner: TrialRunner | None = None,
-        backend: ChunkExecutor | None = None,
     ) -> None:
         if trials <= 0:
             raise ValueError(f"trials must be positive, got {trials}")
-        if workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {workers}; use workers=1 for "
-                "the serial in-process path"
-            )
         self.dc = dc if dc is not None else chaos_datacenter()
         self.schemes = tuple(
             mlec_scheme_from_name(name, params, self.dc) for name in schemes
@@ -408,16 +396,7 @@ class ChaosCampaign:
         if not self.scenarios:
             raise ValueError("campaign needs at least one scenario")
         self.check_invariants = check_invariants
-        if runner is not None and backend is not None:
-            raise ValueError(
-                "pass either runner or backend, not both; give the backend "
-                "to your runner instead"
-            )
-        self.runner = (
-            runner
-            if runner is not None
-            else TrialRunner(workers=workers, backend=backend)
-        )
+        self.runner = runner if runner is not None else TrialRunner()
 
     # ------------------------------------------------------------------
     def run(

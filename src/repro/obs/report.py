@@ -90,7 +90,7 @@ _OPS_KIND_LABELS = {
     "pool.rebuild": "pool/backend rebuilds",
     "worker.death": "worker deaths",
     "worker.join": "worker joins",
-    "backend.fallback": "local-fallback engagements",
+    "backend.fallback": "backend fallbacks to the local path",
 }
 
 

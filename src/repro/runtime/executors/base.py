@@ -36,7 +36,6 @@ import time
 import traceback
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future
-from multiprocessing.context import BaseContext
 from typing import TYPE_CHECKING, Any, Protocol, Union
 
 import numpy as np
@@ -65,10 +64,10 @@ __all__ = [
 class BackendUnavailable(RuntimeError):
     """An executor backend cannot be brought up (or has gone away).
 
-    Subclasses ``RuntimeError`` deliberately: the resilient runner's
-    worker-crash handling already treats ``RuntimeError`` from a chunk
-    future as a retryable infrastructure failure, so backend loss flows
-    through the same retry/teardown/serial-fallback machinery.
+    Raised by ``start()`` or ``submit()``, or set on a chunk future (a
+    TCP coordinator with no live worker).  The runner charges no attempt
+    for it: it leaves the backend and finishes the sweep on its local
+    path, counting the step down as ``runtime.backend_fallbacks``.
     """
 
 
@@ -304,7 +303,7 @@ class BackendEvent:
     """One operational fact a backend surfaces (steal, worker death, ...).
 
     ``kind`` is one of ``"steal"``, ``"worker_death"``, ``"duplicate"``,
-    ``"fallback"``, ``"worker_join"``; ``data`` holds JSON-compatible
+    ``"worker_join"``; ``data`` holds JSON-compatible
     scalars only, so the runner can fold events straight into its
     operational trace.  Events never carry results -- results travel
     exclusively through chunk futures, which is what keeps the
@@ -392,7 +391,6 @@ def make_backend(
     spec: str,
     *,
     workers: int = 1,
-    mp_context: BaseContext | None = None,
     lease_timeout: float | None = None,
 ) -> "TcpWorkQueueBackend | None":
     """Build the executor backend a ``--backend`` spec names.
@@ -400,8 +398,10 @@ def make_backend(
     ``"local"`` returns ``None`` -- the runners' built-in local path,
     which preserves the ``workers=1`` never-touches-multiprocessing
     contract.  ``"tcp://HOST:PORT"`` returns a coordinator that binds
-    that address; ``workers`` sizes its local fallback pool (used when
-    no remote worker connects).
+    that address.  It runs no chunk itself: when no remote worker is
+    connected, the runner degrades to its own local path, sized by the
+    runner's ``workers``.  ``workers`` is accepted here so callers can
+    pass one set of options for every spec; no backend uses it.
     """
     kind, address = parse_backend_spec(spec)
     if kind == "local":
@@ -410,9 +410,6 @@ def make_backend(
 
     assert address is not None
     host, port = address
-    kwargs: dict[str, Any] = {}
-    if lease_timeout is not None:
-        kwargs["lease_timeout"] = lease_timeout
-    return TcpWorkQueueBackend(
-        host, port, fallback_workers=workers, mp_context=mp_context, **kwargs
-    )
+    if lease_timeout is None:
+        return TcpWorkQueueBackend(host, port)
+    return TcpWorkQueueBackend(host, port, lease_timeout=lease_timeout)

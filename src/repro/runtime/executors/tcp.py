@@ -22,11 +22,12 @@ Robustness machinery, in the order it fires:
   running).  First result wins; the loser's duplicate completion is
   discarded at the task table, so aggregation stays at-most-once and
   the loser is never charged a retry.
-* **Graceful degradation** -- if no worker has connected within
-  ``connect_grace`` seconds (or all of them died), queued chunks are
-  handed to an embedded local process pool sized by
-  ``fallback_workers``, so a campaign never deadlocks on an empty
-  fleet.
+* **Empty fleet** -- if no worker has connected within
+  ``connect_grace`` seconds (or all of them died), queued chunk futures
+  fail with :class:`BackendUnavailable`.  The coordinator runs nothing
+  itself: the runner requeues those chunks uncharged and finishes the
+  sweep on its own local path, so a campaign never deadlocks on an
+  empty fleet and every such fallback is counted in one place.
 
 Wire format: length-prefixed (4-byte big-endian) JSON frames.  Chunk
 jobs and results are pickled and base64-wrapped inside frames -- the
@@ -51,7 +52,6 @@ import struct
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from multiprocessing.context import BaseContext
 from typing import Any
 
 from .base import (
@@ -62,7 +62,6 @@ from .base import (
     ChunkJob,
     ChunkPayload,
 )
-from .local import LocalProcessBackend
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -161,7 +160,6 @@ class _Task:
     leases: dict[str, _Lease] = dataclasses.field(default_factory=dict)
     queued: int = 1  # entries currently sitting in the dispatch queue
     steals: int = 0
-    fallback: bool = False  # running on the embedded local pool
     done: bool = False
 
 
@@ -196,15 +194,11 @@ class TcpWorkQueueBackend:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        fallback_workers: int = 1,
-        mp_context: BaseContext | None = None,
         lease_timeout: float = 300.0,
         heartbeat_timeout: float = 15.0,
         connect_grace: float = 10.0,
         poll_interval: float = 0.05,
     ) -> None:
-        if fallback_workers < 1:
-            raise ValueError(f"fallback_workers must be >= 1, got {fallback_workers}")
         for label, value in (
             ("lease_timeout", lease_timeout),
             ("heartbeat_timeout", heartbeat_timeout),
@@ -216,8 +210,6 @@ class TcpWorkQueueBackend:
             raise ValueError(f"connect_grace must be >= 0, got {connect_grace}")
         self._host = host
         self._port = port
-        self._fallback_workers = fallback_workers
-        self._mp_context = mp_context
         self._lease_timeout = lease_timeout
         self._heartbeat_timeout = heartbeat_timeout
         self._connect_grace = connect_grace
@@ -237,9 +229,6 @@ class TcpWorkQueueBackend:
         self._closed = False
         self._started_at = 0.0
         self._ever_connected = False
-        self._fallback: LocalProcessBackend | None = None
-        self._fallback_failed = False
-        self._fallback_announced = False
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -288,8 +277,7 @@ class TcpWorkQueueBackend:
 
     def capacity(self) -> int:
         with self._lock:
-            alive = sum(1 for w in self._workers.values() if not w.dead)
-            return alive if alive else self._fallback_workers
+            return self._alive_locked()
 
     def drain_events(self) -> list[BackendEvent]:
         with self._lock:
@@ -301,28 +289,18 @@ class TcpWorkQueueBackend:
 
         The runner requeues its in-flight chunks itself and resubmits
         them as fresh tasks, so everything still pending here is stale.
-        Returns ``False`` only when the backend has no way to execute
-        anything (no live workers *and* the fallback pool cannot spawn),
-        which tells the runner to go serial in-process.
+        Returns whether any worker is alive: with none, the runner
+        finishes the sweep on its local path.
         """
         with self._wake:
             self._abandon_tasks_locked()
-            if self._fallback is not None:
-                self._fallback.reset()
-            self._fallback_failed = False
-            alive = any(not w.dead for w in self._workers.values())
             self._wake.notify_all()
-        if alive:
-            return True
-        fallback = self._ensure_fallback()
-        return fallback is not None
+            return self._alive_locked() > 0
 
     def reset(self) -> None:
         """Abandon all outstanding work (abnormal sweep exit)."""
         with self._wake:
             self._abandon_tasks_locked()
-            if self._fallback is not None:
-                self._fallback.reset()
             self._wake.notify_all()
 
     def shutdown(self, wait: bool = True) -> None:
@@ -357,8 +335,6 @@ class TcpWorkQueueBackend:
                 worker.conn.close()
             except OSError:
                 pass
-        if self._fallback is not None:
-            self._fallback.shutdown(wait=wait)
         if wait:
             for thread in self._threads:
                 thread.join(timeout=2.0)
@@ -371,6 +347,9 @@ class TcpWorkQueueBackend:
         self.shutdown()
 
     # -- coordinator internals ----------------------------------------
+    def _alive_locked(self) -> int:
+        return sum(1 for w in self._workers.values() if not w.dead)
+
     def _abandon_tasks_locked(self) -> None:
         for task in self._tasks.values():
             if not task.done:
@@ -495,7 +474,7 @@ class TcpWorkQueueBackend:
             task = self._tasks.get(task_id)
             if task is not None and not task.done:
                 task.leases.pop(worker.id, None)
-                if not task.leases and task.queued == 0 and not task.fallback:
+                if not task.leases and task.queued == 0:
                     task.queued += 1
                     self._queue.append(task_id)
                     requeued += 1
@@ -515,10 +494,8 @@ class TcpWorkQueueBackend:
                 self._reap_silent_locked(now)
                 self._steal_expired_locked(now)
                 self._assign_locked(now)
-                use_fallback = self._should_use_fallback_locked(now)
+                self._fail_stranded_locked(now)
                 self._wake.wait(self._poll_interval)
-            if use_fallback:
-                self._drain_to_fallback()
 
     def _reap_silent_locked(self, now: float) -> None:
         for worker in list(self._workers.values()):
@@ -527,7 +504,7 @@ class TcpWorkQueueBackend:
 
     def _steal_expired_locked(self, now: float) -> None:
         for task_id, task in self._tasks.items():
-            if task.done or task.fallback or task.queued > 0 or not task.leases:
+            if task.done or task.queued > 0 or not task.leases:
                 continue
             leases = list(task.leases.values())
             if any(now - lease.started <= self._lease_timeout for lease in leases):
@@ -563,7 +540,7 @@ class TcpWorkQueueBackend:
             if task is None:
                 continue
             task.queued -= 1
-            if task.done or task.fallback or task.future.cancelled():
+            if task.done or task.future.cancelled():
                 continue
             # Never lease a task back to a worker already running it.
             worker = next((w for w in idle if w.id not in task.leases), None)
@@ -596,131 +573,28 @@ class TcpWorkQueueBackend:
             worker.task = task_id
             task.leases[worker.id] = _Lease(worker=worker.id, started=now)
 
-    def _should_use_fallback_locked(self, now: float) -> bool:
-        if not self._queue:
-            return False
-        if any(not w.dead for w in self._workers.values()):
-            return False
-        if not self._ever_connected and now - self._started_at < self._connect_grace:
-            return False
-        return True
+    def _fail_stranded_locked(self, now: float) -> None:
+        """Fail every queued future with :class:`BackendUnavailable` once
+        no worker is alive and none is still awaited.
 
-    def _ensure_fallback(self) -> LocalProcessBackend | None:
-        """Bring up the embedded local pool; never called under the lock."""
-        with self._lock:
-            fallback = self._fallback
-            failed = self._fallback_failed
-        if failed:
-            return None
-        if fallback is None:
-            fallback = LocalProcessBackend(
-                self._fallback_workers, mp_context=self._mp_context
-            )
-            with self._lock:
-                self._fallback = fallback
-        try:
-            fallback.start()
-        except BackendUnavailable:
-            with self._lock:
-                self._fallback_failed = True
-            return None
-        return fallback
-
-    def _drain_to_fallback(self) -> None:
-        """Hand every queued task to the embedded local pool.
-
-        Tasks are claimed under the lock but submitted to the pool
-        outside it: a tiny chunk can finish before ``add_done_callback``
-        registers, in which case concurrent.futures runs
-        ``_complete_from_fallback`` inline on *this* thread -- and that
-        callback needs the (non-reentrant) lock.  Submitting under the
-        lock therefore self-deadlocks the dispatch loop and, with it,
-        every thread that touches the backend.
+        The runner treats that as a backend fact, not a chunk failure: it
+        requeues the chunks without charging an attempt and finishes the
+        sweep on its local path.
         """
-        fallback = self._ensure_fallback()
-        moved: list[tuple[int, ChunkJob]] = []
-        with self._wake:
-            if fallback is None:
-                # Nothing can run: fail queued futures so the runner's
-                # retry machinery (and ultimately its serial path) takes over.
-                for task_id in self._queue:
-                    task = self._tasks.get(task_id)
-                    if task is None or task.done:
-                        continue
-                    task.queued -= 1
-                    task.done = True
-                    try:
-                        task.future.set_exception(
-                            BackendUnavailable(
-                                "no workers connected and the local fallback "
-                                "pool is unavailable"
-                            )
-                        )
-                    except InvalidStateError:
-                        pass
-                self._queue.clear()
-                return
-            for task_id in list(self._queue):
-                task = self._tasks.get(task_id)
-                if task is None or task.done or task.fallback:
-                    continue
-                if task.future.cancelled():
-                    task.done = True
-                    continue
-                task.queued -= 1
-                task.fallback = True
-                moved.append((task_id, task.job))
-            self._queue.clear()
-            if moved and not self._fallback_announced:
-                self._fallback_announced = True
-                self._events.append(
-                    BackendEvent(
-                        "fallback",
-                        {"moved": len(moved), "workers": self._fallback_workers},
-                    )
-                )
-            self._wake.notify_all()
-        for task_id, job in moved:
-            try:
-                inner = fallback.submit(job)
-            except Exception as exc:
-                # Pool torn down under us (reset/shutdown racing the
-                # drain): fail the future so the runner's retry
-                # machinery takes over instead of killing this thread.
-                with self._wake:
-                    task = self._tasks.get(task_id)
-                    if task is None or task.done:
-                        continue
-                    task.done = True
-                    try:
-                        task.future.set_exception(
-                            BackendUnavailable(
-                                f"fallback pool rejected chunk ({exc!r})"
-                            )
-                        )
-                    except InvalidStateError:
-                        pass
-                    self._wake.notify_all()
-                continue
-            inner.add_done_callback(
-                lambda f, tid=task_id: self._complete_from_fallback(tid, f)
-            )
-
-    def _complete_from_fallback(self, task_id: int, inner: ChunkFuture) -> None:
-        with self._wake:
+        if not self._queue or self._alive_locked():
+            return
+        if not self._ever_connected and now - self._started_at < self._connect_grace:
+            return
+        for task_id in self._queue:
             task = self._tasks.get(task_id)
             if task is None or task.done:
-                return
-            task.fallback = False
-            if inner.cancelled():
-                return
-            exc = inner.exception()
-            if exc is not None:
-                task.done = True
-                try:
-                    task.future.set_exception(exc)
-                except InvalidStateError:
-                    pass
-            else:
-                self._complete_locked(task, inner.result())
-            self._wake.notify_all()
+                continue
+            task.queued -= 1
+            task.done = True
+            try:
+                task.future.set_exception(
+                    BackendUnavailable("no worker is connected")
+                )
+            except InvalidStateError:
+                pass  # cancelled by the runner
+        self._queue.clear()

@@ -404,6 +404,7 @@ class ResilientRunner(TrialRunner):
         rebuilds = count("runtime.pool_rebuilds")
         steals = count("runtime.steals")
         deaths = count("runtime.worker_deaths")
+        fallbacks = count("runtime.backend_fallbacks")
         written = count("checkpoint.chunk_writes")
         if self.checkpoint_path is None:
             parts = ["no journal"]
@@ -416,6 +417,8 @@ class ResilientRunner(TrialRunner):
             parts.append(f"{steals} chunk steals")
         if deaths:
             parts.append(f"{deaths} worker deaths")
+        if fallbacks:
+            parts.append(f"{fallbacks} backend fallbacks")
         return "resilience: " + ", ".join(parts)
 
     # ------------------------------------------------------------------

@@ -16,10 +16,16 @@ plus a checkpoint journal and a wider retry budget.
   per-task IPC cost amortizes over many cheap trials; chunks complete in
   any order and are folded *in index order* once the sweep is done,
   which keeps the fold deterministic.
-* **Graceful degradation.**  ``workers=1`` never touches multiprocessing;
-  if the process pool cannot be created at all (sandboxes, missing
-  semaphores), the runner warns once and falls back to in-process
-  execution with identical results.
+* **Graceful degradation, decided in one place.**  ``workers=1`` never
+  touches multiprocessing.  A backend that cannot start, cannot be
+  rebuilt, or fails a chunk with
+  :class:`~repro.runtime.executors.BackendUnavailable` (a TCP
+  coordinator with no live worker) is left for the next rung of the
+  local path: a local process pool when ``workers > 1``, in-process
+  otherwise.  The chunks it held are requeued without an attempt
+  charge, and each step down warns and is counted
+  (``runtime.backend_fallbacks``, a ``backend.fallback`` trace event
+  with its reason).  Chunks are pure, so results stay identical.
 * **Pluggable placement.**  *Where* chunks execute is delegated to a
   :class:`~repro.runtime.executors.ChunkExecutor` backend -- the default
   local process pool or a multi-host TCP work queue (``backend=``) --
@@ -396,8 +402,9 @@ class TrialRunner:
         :class:`~repro.runtime.executors.TcpWorkQueueBackend`
         coordinating remote hosts).  ``None`` (the default) keeps the
         built-in local path: in-process for ``workers=1``, a local
-        process pool otherwise.  The runner never shuts down a caller-
-        provided backend -- ownership stays with the caller.
+        process pool otherwise.  A backend that degrades hands the rest
+        of the sweep to that local path.  The runner never shuts down a
+        caller-provided backend -- ownership stays with the caller.
     batch:
         ``"auto"`` (the default), ``"on"``, or ``"off"``: whether chunks
         may use the vectorized batch engine (:mod:`repro.sim.batch`) for
@@ -620,11 +627,20 @@ class TrialRunner:
                 deadline=None if timeout is None else time.monotonic() + timeout,
                 payloads=payloads,
             )
-            if pending and (
-                self.backend is not None or (self.workers > 1 and len(pending) > 1)
-            ):
-                self._execute_pooled(sweep, pending)
-            remaining = [(i, b) for i, b in pending if b not in payloads]
+            # The placement ladder: the caller's backend, then the local
+            # path (a pool for more than one chunk, else in-process).  A
+            # rung that degrades leaves its unfinished chunks to the next.
+            remaining = pending
+            if remaining and self.backend is not None:
+                self._execute_pooled(sweep, remaining, self.backend)
+                remaining = [(i, b) for i, b in remaining if b not in payloads]
+            if self._wants_local_pool(remaining):
+                pool = LocalProcessBackend(
+                    max_workers=min(self.workers, len(remaining)),
+                    mp_context=self.mp_context,
+                )
+                self._execute_pooled(sweep, remaining, pool)
+                remaining = [(i, b) for i, b in remaining if b not in payloads]
             if remaining:
                 self._execute_serial(sweep, remaining)
             if self.progress is not None:
@@ -859,27 +875,42 @@ class TrialRunner:
     # ------------------------------------------------------------------
     # Pool path (any ChunkExecutor backend)
     # ------------------------------------------------------------------
-    def _acquire_backend(self, n_pending: int) -> tuple[ChunkExecutor | None, bool]:
-        """The backend to dispatch on, plus whether this runner owns it."""
-        if self.backend is not None:
-            executor: ChunkExecutor = self.backend
-            owns = False
-        else:
-            executor = LocalProcessBackend(
-                max_workers=min(self.workers, n_pending),
-                mp_context=self.mp_context,
-            )
-            owns = True
-        try:
-            executor.start()
-        except BackendUnavailable as exc:  # sandboxes without semaphores
-            warnings.warn(
-                f"{exc}; running trials in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None, owns
-        return executor, owns
+    def _wants_local_pool(self, chunks: list[tuple[int, _Bounds]]) -> bool:
+        return self.workers > 1 and len(chunks) > 1
+
+    def _fall_back(
+        self,
+        sweep: _Sweep,
+        executor: ChunkExecutor,
+        pending: list[tuple[int, _Bounds]],
+        reason: str,
+    ) -> None:
+        """Record that the sweep leaves ``executor`` for the next rung.
+
+        The runner's one degradation point: a backend that cannot start,
+        cannot be rebuilt, or reports itself unavailable ends its rung of
+        the placement ladder, and :meth:`_execute` hands the chunks it did
+        not finish to the local path.  Each step down warns, counts one
+        ``runtime.backend_fallbacks`` and records a ``backend.fallback``
+        event with its reason.
+        """
+        left = [(i, b) for i, b in pending if b not in sweep.payloads]
+        local = executor is self.backend and self._wants_local_pool(left)
+        self.ops_metrics.counter("runtime.backend_fallbacks").inc()
+        self.ops_trace.event(
+            self._elapsed(),
+            "backend.fallback",
+            backend=executor.name,
+            to="local" if local else "in-process",
+            pending=len(left),
+            reason=reason[:200],
+        )
+        warnings.warn(
+            f"{executor.name} backend: {reason}; running the remaining "
+            f"{len(left)} chunk(s) {'on a local pool' if local else 'in-process'}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     def _rebuild_backend(
         self,
@@ -892,7 +923,7 @@ class TrialRunner:
         Chunks still in flight when the backend dies are *collateral*:
         they are rescheduled without an attempt charge (the chunk that
         caused the teardown was charged by the caller and sits in its
-        backoff window already).
+        backoff window already).  Returns whether the backend came back.
         """
         for index, bounds, _started in inflight.values():
             queue.append((index, bounds))
@@ -911,16 +942,7 @@ class TrialRunner:
             backend=executor.name,
             pending=len(queue),
         ):
-            rebuilt = executor.rebuild()
-        if rebuilt:
-            return True
-        warnings.warn(
-            f"{executor.name} backend cannot be rebuilt; "
-            "running remaining trials in-process",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return False
+            return executor.rebuild()
 
     def _drain_backend_events(self, executor: ChunkExecutor) -> None:
         """Fold backend facts (steals, worker deaths) into ops telemetry.
@@ -963,8 +985,6 @@ class TrialRunner:
                 self.ops_trace.event(self._elapsed(), "chunk.duplicate", **data)
             elif event.kind == "worker_join":
                 self.ops_trace.event(self._elapsed(), "worker.join", **data)
-            elif event.kind == "fallback":
-                self.ops_trace.event(self._elapsed(), "backend.fallback", **data)
             else:
                 self.ops_trace.event(
                     self._elapsed(), f"backend.{event.kind}", **data
@@ -988,17 +1008,26 @@ class TrialRunner:
             horizons.append(deadline - now)
         return max(0.0, min(horizons))
 
-    def _execute_pooled(self, sweep: _Sweep, pending: list[tuple[int, _Bounds]]) -> None:
-        """Run pending chunks on a pool, retrying and rebuilding as needed.
+    def _execute_pooled(
+        self,
+        sweep: _Sweep,
+        pending: list[tuple[int, _Bounds]],
+        executor: ChunkExecutor,
+    ) -> None:
+        """Run pending chunks on ``executor``, retrying and rebuilding.
 
         Completed chunks land in ``sweep.payloads`` (and the journal) the
         moment they arrive, in *completion* order -- determinism is
-        restored by the caller's chunk-ordered fold.  If the backend
-        cannot be (re)built, remaining chunks are left for the serial
-        fallback.
+        restored by the caller's chunk-ordered fold.  When the executor
+        degrades (:meth:`_fall_back`) this returns early and the caller
+        runs the chunks still missing on the next rung.  The runner shuts
+        down an executor it built, never the caller's ``backend``.
         """
-        executor, owns_backend = self._acquire_backend(len(pending))
-        if executor is None:
+        owns_backend = executor is not self.backend
+        try:
+            executor.start()
+        except BackendUnavailable as exc:  # sandboxes without semaphores
+            self._fall_back(sweep, executor, pending, str(exc))
             return
         queue: deque[tuple[int, _Bounds]] = deque(pending)
         retry_at: dict[int, tuple[float, _Bounds]] = {}
@@ -1016,10 +1045,15 @@ class TrialRunner:
                     _due, bounds = retry_at.pop(index)
                     queue.append((index, bounds))
                 # In-flight chunks are capped at the backend's capacity.
-                while queue and len(inflight) < max(1, executor.capacity()):
-                    index, bounds = queue.popleft()
-                    future = executor.submit(sweep.job(index, bounds))
-                    inflight[future] = (index, bounds, time.monotonic())
+                try:
+                    while queue and len(inflight) < max(1, executor.capacity()):
+                        index, bounds = queue[0]
+                        future = executor.submit(sweep.job(index, bounds))
+                        queue.popleft()
+                        inflight[future] = (index, bounds, time.monotonic())
+                except BackendUnavailable as exc:
+                    self._fall_back(sweep, executor, pending, str(exc))
+                    return
                 if not inflight:
                     # Everything is waiting out a backoff window.
                     pause = self._next_wakeup(inflight, retry_at, sweep.deadline)
@@ -1033,6 +1067,7 @@ class TrialRunner:
                 )
                 self._drain_backend_events(executor)
                 broken = False
+                unavailable: str | None = None
                 # Index order: of chunks that finish together, the earlier
                 # ones land before a later one can end the sweep.
                 for future in sorted(done, key=lambda f: inflight[f][0]):
@@ -1040,6 +1075,11 @@ class TrialRunner:
                     worker_traceback: str | None = None
                     try:
                         result = future.result()
+                    except BackendUnavailable as exc:
+                        # A backend fact, not a chunk failure: no attempt
+                        # is charged; the next rung runs the chunk.
+                        unavailable = unavailable or str(exc)
+                        continue
                     except (BrokenProcessPool, RuntimeError, OSError) as exc:
                         # One crash breaks the whole pool, so every
                         # in-flight future resolves with this error at
@@ -1067,9 +1107,13 @@ class TrialRunner:
                         inflight=inflight,
                     )
                     retry_at[index] = (time.monotonic() + delay, bounds)
+                if unavailable is not None:
+                    self._fall_back(sweep, executor, pending, unavailable)
+                    return
                 if broken:
                     if not self._rebuild_backend(executor, inflight, queue):
-                        return  # serial fallback finishes the remainder
+                        self._fall_back(sweep, executor, pending, "cannot be rebuilt")
+                        return
                     continue
                 # Watchdog: runs every iteration, not just when wait()
                 # comes back empty -- a hung chunk must be detected even
@@ -1095,6 +1139,9 @@ class TrialRunner:
                             )
                             retry_at[index] = (time.monotonic() + delay, bounds)
                         if not self._rebuild_backend(executor, inflight, queue):
+                            self._fall_back(
+                                sweep, executor, pending, "cannot be rebuilt"
+                            )
                             return
         finally:
             self._drain_backend_events(executor)

@@ -134,7 +134,7 @@ class SimulationService:
 
     @staticmethod
     def _make_started_backend(config: ServiceConfig) -> ChunkExecutor:
-        backend = make_backend(config.backend, workers=config.workers)
+        backend = make_backend(config.backend)
         assert backend is not None  # config.backend != "local"
         backend.start()
         return backend

@@ -380,7 +380,7 @@ def burst_pdl(
     """Monte-Carlo PDL for one burst scenario (one heatmap cell).
 
     With ``rng`` the trials consume the caller's shared stream serially
-    (the legacy path; lets one generator thread through a whole grid).
+    (lets one generator thread through several cells).
     Without it, trials run through ``runner`` on spawned per-trial streams
     -- deterministic for any worker count.
     """
@@ -426,50 +426,34 @@ def burst_pdl_grid(
     """A full heatmap: PDL[i, j] for failures[i] x racks[j].
 
     Cells with fewer failures than affected racks are impossible and
-    reported as NaN (the paper's figures leave them blank).  With a
-    ``runner`` (or ``workers > 1``, which constructs one) the feasible
-    cells fan out in parallel, one spawned stream per cell; otherwise the
-    legacy serial path threads a single generator through the grid
-    (bitwise-stable with historical results).  ``batch`` configures the
-    vectorized batch engine for a self-constructed runner (speed only;
-    bit-identical results); a caller-provided ``runner`` keeps its own.
+    reported as NaN (the paper's figures leave them blank).  The feasible
+    cells run as trials of a runner, one spawned stream per cell, so the
+    grid is bitwise identical for any worker count.  Without a
+    ``runner`` one is built from ``workers`` and ``batch`` (the batch
+    engine is speed only: bit-identical results); a caller-provided
+    ``runner`` keeps its own settings.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    if workers < 1:
-        raise ValueError(
-            f"workers must be >= 1, got {workers}; use workers=1 for "
-            "the serial in-process path"
-        )
-    if runner is None and workers > 1:
+    if runner is None:
         runner = TrialRunner(workers=workers, batch=batch)
     failure_counts = np.asarray(failure_counts)
     rack_counts = np.asarray(rack_counts)
     grid = np.full((len(failure_counts), len(rack_counts)), np.nan)
-
-    if runner is not None:
-        cells = tuple(
-            (i, j, int(y), int(x))
-            for j, x in enumerate(rack_counts)
-            for i, y in enumerate(failure_counts)
-            if y >= x
-        )
-        if not cells:
-            return grid
-        values = runner.map(
-            _grid_cell_trial,
-            len(cells),
-            seed=seed,
-            args=(cells, evaluator, trials, evaluator.scheme.dc),
-        )
-        for (i, j, _y, _x), value in zip(cells, values):
-            grid[i, j] = value
+    cells = tuple(
+        (i, j, int(y), int(x))
+        for j, x in enumerate(rack_counts)
+        for i, y in enumerate(failure_counts)
+        if y >= x
+    )
+    if not cells:
         return grid
-
-    rng = np.random.default_rng(seed)
-    for j, x in enumerate(rack_counts):
-        for i, y in enumerate(failure_counts):
-            if y < x:
-                continue
-            grid[i, j] = burst_pdl(evaluator, int(y), int(x), trials, rng)
+    values = runner.map(
+        _grid_cell_trial,
+        len(cells),
+        seed=seed,
+        args=(cells, evaluator, trials, evaluator.scheme.dc),
+    )
+    for (i, j, _y, _x), value in zip(cells, values):
+        grid[i, j] = value
     return grid

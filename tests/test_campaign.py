@@ -126,12 +126,6 @@ class TestCampaign:
         with pytest.raises(ValueError):
             ChaosCampaign(trials=0)
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            ChaosCampaign(workers=0)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            ChaosCampaign(workers=-2)
-
 
 class TestChaosCLI:
     def test_end_to_end_over_all_fault_classes(self, capsys):

@@ -2,15 +2,14 @@
 
 The acceptance bar is the one every runner test enforces: no matter
 which backend runs the chunks -- local pool, one TCP worker host, three
-hosts, or the degraded in-process fallback -- the final aggregate,
-merged metrics snapshot, and trace stream must be bitwise identical to
-an uninterrupted ``workers=1`` run.  SIGKILLing a worker host
+hosts, or the runner's local path after the fleet empties -- the final
+aggregate, merged metrics snapshot, and trace stream must be bitwise
+identical to an uninterrupted ``workers=1`` run.  SIGKILLing a worker host
 mid-campaign, stealing a straggler's lease, or partitioning a worker
 off the network may only ever change wall-clock time and operational
 telemetry.
 """
 
-import concurrent.futures as cf
 import multiprocessing
 import os
 import signal
@@ -200,12 +199,9 @@ class TestBackendSpec:
         backend = make_backend("tcp://127.0.0.1:0", workers=3, lease_timeout=7.0)
         assert isinstance(backend, TcpWorkQueueBackend)
         assert backend.name == "tcp"
-        assert backend._fallback_workers == 3
         assert backend._lease_timeout == 7.0
 
     def test_tcp_parameter_validation(self):
-        with pytest.raises(ValueError, match="fallback_workers"):
-            TcpWorkQueueBackend(fallback_workers=0)
         with pytest.raises(ValueError, match="lease_timeout"):
             TcpWorkQueueBackend(lease_timeout=0.0)
         with pytest.raises(ValueError, match="connect_grace"):
@@ -273,44 +269,38 @@ class TestTcpRoundTrip:
         kinds = {r["kind"] for r in runner.ops_trace.records}
         assert "backend.fallback" in kinds
 
-    def test_fallback_inline_completion_does_not_deadlock(self):
-        """Regression: a fallback chunk finishing before its done
-        callback registers runs _complete_from_fallback inline on the
-        dispatch thread.  The drain must not hold the non-reentrant
-        backend lock across submit, or that inline callback deadlocks
-        the dispatch loop and every thread that touches the backend."""
-
-        class _InstantPool:
-            """A fallback pool whose futures are done before submit
-            returns -- the widest possible inline-callback window."""
-
-            def start(self):
-                pass
-
-            def submit(self, job):
-                fut = cf.Future()
-                fut.set_result(job.run())
-                return fut
-
-            def reset(self):
-                pass
-
-            def shutdown(self, wait=True):
-                pass
-
-        backend = TcpWorkQueueBackend(connect_grace=0.0, poll_interval=0.02)
+    @pytest.mark.parametrize("make_runner", [
+        lambda backend: TrialRunner(workers=2, chunk_size=4, backend=backend),
+        lambda backend: ResilientRunner(
+            workers=2, chunk_size=4, policy=FAST, backend=backend
+        ),
+    ], ids=["plain", "resilient"])
+    def test_empty_fleet_serves_consecutive_sweeps(self, make_runner):
+        """One coordinator with no workers serves three sweeps in a row.
+        Each sweep falls back to the runner's local path exactly once,
+        counted with its reason, and the fallback charges no retry."""
+        backend = TcpWorkQueueBackend(connect_grace=0.2, poll_interval=0.02)
         backend.start()
-        backend._fallback = _InstantPool()
-        futures = [backend.submit(_make_job(index=i, seed=i)) for i in range(4)]
         try:
-            for future in futures:
-                got = future.result(timeout=30.0)
-                assert isinstance(got, ChunkPayload)
+            for trials, seed in ((16, 7), (12, 3), (20, 9)):
+                reference = _run_telemetry(TrialRunner(workers=1), trials, seed)
+                runner = make_runner(backend)
+                with pytest.warns(RuntimeWarning, match="no worker is connected"):
+                    got = _run_telemetry(runner, trials, seed)
+                assert got == reference
+                fallbacks = [
+                    r for r in runner.ops_trace.records
+                    if r["kind"] == "backend.fallback"
+                ]
+                assert len(fallbacks) == 1
+                assert fallbacks[0]["data"]["backend"] == "tcp"
+                assert fallbacks[0]["data"]["to"] == "local"
+                assert "no worker is connected" in fallbacks[0]["data"]["reason"]
+                counters = runner.ops_metrics.snapshot()["counters"]
+                assert counters["runtime.backend_fallbacks"] == 1
+                assert "runtime.chunk_retries" not in counters
         finally:
-            # On regression the dispatch (daemon) thread is deadlocked
-            # holding the lock; shutdown would hang the suite on it.
-            if all(f.done() for f in futures):
-                backend.shutdown()
+            backend.shutdown()
 
     def test_sigkill_worker_host_never_loses_or_double_counts(self, tmp_path):
         """The acceptance bar: a worker host dying mid-campaign costs
@@ -534,32 +524,32 @@ class TestLeaseAccounting:
 
     def test_partitioned_worker_reaped_and_chunk_requeued(self):
         """A worker that stops heartbeating (socket still open: the
-        network-partition shape) is declared dead and its lease rescued
-        by the fallback pool."""
+        network-partition shape) is declared dead and its lease requeued;
+        with no other worker the runner finishes the chunk locally."""
+        reference = _run_telemetry(TrialRunner(workers=1), 4, 3)
         backend = TcpWorkQueueBackend(
             lease_timeout=60.0, heartbeat_timeout=0.4, connect_grace=60.0,
             poll_interval=0.02,
         )
         backend.start()
-        runner = ResilientRunner(workers=1)
+        runner = ResilientRunner(workers=1, backend=backend)
         silent = _FakeWorker(backend.address, "partitioned")
         try:
-            job = _make_job()
-            future = backend.submit(job)
+            _wait_workers(backend, 1)
+            # Never heartbeat, never answer: the coordinator must reap
+            # the worker and the sweep must still complete.
+            with pytest.warns(RuntimeWarning, match="no worker is connected"):
+                got = _run_telemetry(runner, 4, 3)
             lease = silent.recv()
             assert lease is not None and lease["t"] == "lease"
-            # Never heartbeat, never answer: the coordinator must reap
-            # the worker and still complete the chunk.
-            got = future.result(timeout=60.0)
-            assert isinstance(got, ChunkPayload)
-            assert got.values == job.run().values
-            _drain_until(runner, backend, "worker.death")
         finally:
             silent.close()
             backend.shutdown()
+        assert got == reference
         counters = runner.ops_metrics.snapshot()["counters"]
         assert counters["runtime.worker_deaths"] == 1
         assert counters["runtime.chunk_retries"] == 1  # the forfeited lease
+        assert counters["runtime.backend_fallbacks"] == 1
 
 
 class TestCheckpointAcrossBackends:
@@ -637,14 +627,3 @@ class TestCli:
         capsys.readouterr()
         assert main(["resume", ck, "--backend", "smoke-signals"]) == 2
         assert "unknown executor backend" in capsys.readouterr().err
-
-
-class TestCampaignBackend:
-    def test_runner_and_backend_mutually_exclusive(self):
-        from repro.faults import ChaosCampaign
-
-        backend = TcpWorkQueueBackend()
-        with pytest.raises(ValueError, match="not both"):
-            ChaosCampaign(
-                runner=TrialRunner(workers=1), backend=backend
-            )

@@ -763,69 +763,6 @@ class TestSL017BlockingCallInAsync:
         assert findings == []
 
 
-class TestIncrementalCache:
-    def _run(self, paths, cache, capsys):
-        code = simlint_main([*paths, "--cache", str(cache)])
-        return code, capsys.readouterr().out
-
-    def test_warm_run_byte_identical(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-
-        cold_code, cold_out = self._run([str(tmp_path)], cache, capsys)
-        assert cache.exists()
-        warm_code, warm_out = self._run([str(tmp_path)], cache, capsys)
-        assert (cold_code, cold_out) == (warm_code, warm_out) == (1, cold_out)
-
-    def test_edit_invalidates_only_that_file(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        cache = tmp_path / "cache.json"
-        self._run([str(tmp_path)], cache, capsys)
-
-        dirty.write_text("x = 1\n")  # fixed: the finding must disappear
-        code, out = self._run([str(tmp_path)], cache, capsys)
-        assert code == 0
-        assert "SL001" not in out
-
-    def test_warm_cache_skips_reparsing(self, tmp_path):
-        """A full-tree hit replays findings without touching the parser."""
-        from unittest import mock
-
-        from repro.devtools.simlint.cache import run_with_cache
-
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        cache = tmp_path / "cache.json"
-        linter = Linter()
-        cold = run_with_cache(linter, [str(tmp_path)], cache)
-        with mock.patch.object(
-            Linter, "parse", side_effect=AssertionError("reparsed")
-        ):
-            warm = run_with_cache(linter, [str(tmp_path)], cache)
-        assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
-
-    def test_warm_run_over_src_repro_faster(self, tmp_path):
-        """A full-tree hit skips parsing and every rule."""
-        import time
-
-        from repro.devtools.simlint.cache import run_with_cache
-
-        cache = tmp_path / "cache.json"
-        linter = Linter()
-        t0 = time.perf_counter()
-        cold = run_with_cache(linter, [str(SRC_TREE)], cache)
-        t_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = run_with_cache(linter, [str(SRC_TREE)], cache)
-        t_warm = time.perf_counter() - t0
-        assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
-        assert t_warm < t_cold / 2
-
-
 class TestCleanTree:
     def test_src_repro_lints_clean(self):
         """The acceptance gate: the shipped tree has zero findings."""

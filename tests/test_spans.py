@@ -259,9 +259,9 @@ class TestTcpHostAttribution:
         runner = ResilientRunner(workers=2, chunk_size=3, backend=backend)
         metrics, trace = MetricsRegistry(), TraceRecorder()
         try:
-            # Capacity counts live remote workers (it reads 1, the
-            # fallback pool, until any join), so at 2 both hosts have
-            # said hello and the first two leases go to different hosts.
+            # Capacity counts live remote workers (it reads 0 until any
+            # join), so at 2 both hosts have said hello and the first
+            # two leases go to different hosts.
             deadline = time.monotonic() + 60.0
             while backend.capacity() < 2:
                 assert time.monotonic() < deadline, "workers never joined"
