@@ -1,6 +1,6 @@
 """Executor backends: pluggable answers to *where chunks run*.
 
-The runners own determinism (seed spawning, chunk boundaries, in-order
+The runners own determinism (trial streams, chunk boundaries, in-order
 folds) and resilience policy (retries, checkpoints); backends own
 compute placement.  See :mod:`~repro.runtime.executors.base` for the
 protocol, :mod:`~repro.runtime.executors.local` for the single-host

@@ -8,7 +8,7 @@ a :class:`ChunkExecutor` backend decides *where*: a local process pool
 remote hosts pulling work over TCP
 (:class:`~repro.runtime.executors.TcpWorkQueueBackend`).  The contract
 every backend must honor is the determinism invariant the runners were
-built on: a chunk is a pure function of ``(fn, lo, children, args)``, so
+built on: a chunk is a pure function of ``(fn, seed, lo, hi, args)``, so
 *which* backend (and which host) executed it can never change a result --
 only wall-clock facts and operational telemetry.
 
@@ -34,11 +34,9 @@ import os
 import socket
 import time
 import traceback
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any, Protocol, Union
-
-import numpy as np
 
 from repro.obs import MetricsRegistry, TraceRecorder
 
@@ -128,8 +126,9 @@ ChunkFuture = Future[ChunkResult]
 
 def run_chunk(
     fn: Callable[..., Any],
-    start: int,
-    children: Sequence[np.random.SeedSequence],
+    seed: int,
+    lo: int,
+    hi: int,
     args: tuple[Any, ...],
     collect_metrics: bool = False,
     collect_trace: bool = False,
@@ -137,9 +136,12 @@ def run_chunk(
 ) -> ChunkResult:
     """Run one contiguous chunk of trials; runs wherever the backend puts it.
 
-    Trial ``start + i`` receives ``children[i]`` as its private seed
-    stream, so the result is a pure function of the arguments -- identical
-    on a pool worker, a remote TCP worker, or in-process.
+    Runs trials ``lo .. hi - 1`` of a sweep seeded ``seed``.  Each trial
+    builds its own stream from ``(seed, index)`` (see
+    :class:`~repro.runtime.TrialContext`), so the result is a pure
+    function of the arguments -- identical on a pool worker, a remote TCP
+    worker, or in-process -- and a chunk's job is the same few bytes at
+    any length.
 
     ``batch`` (``auto``/``on``/``off``) selects the vectorized batch
     engine for trial functions that have one registered
@@ -157,13 +159,13 @@ def run_chunk(
     if batch != "off":
         try:
             batched = _run_chunk_batched(
-                fn, start, children, args, collect_metrics, collect_trace,
+                fn, seed, lo, hi, args, collect_metrics, collect_trace,
                 batch, began,
             )
         except Exception as exc:
             if batch == "on":
                 return ChunkFailure(
-                    index=start,
+                    index=lo,
                     message=f"batch engine: {type(exc).__name__}: {exc}",
                     worker_traceback=traceback.format_exc(),
                 )
@@ -173,9 +175,9 @@ def run_chunk(
     metrics = MetricsRegistry() if collect_metrics else None
     records: list[dict[str, Any]] = []
     out: list[Any] = []
-    for offset, child in enumerate(children):
-        trace = TraceRecorder(trial=start + offset) if collect_trace else None
-        ctx = _trial_context(start + offset, child, metrics, trace)
+    for index in range(lo, hi):
+        trace = TraceRecorder(trial=index) if collect_trace else None
+        ctx = _trial_context(index, seed, metrics, trace)
         try:
             out.append(fn(ctx, *args))
         except Exception as exc:  # surfaced as TrialExecutionError upstream
@@ -198,8 +200,9 @@ def run_chunk(
 
 def _run_chunk_batched(
     fn: Callable[..., Any],
-    start: int,
-    children: Sequence[np.random.SeedSequence],
+    seed: int,
+    lo: int,
+    hi: int,
     args: tuple[Any, ...],
     collect_metrics: bool,
     collect_trace: bool,
@@ -216,24 +219,24 @@ def _run_chunk_batched(
     """
     from repro.sim.batch import batch_impl_for, resolve_batch_mode
 
-    if not resolve_batch_mode(mode, fn, len(children)):
+    if not resolve_batch_mode(mode, fn, hi - lo):
         return None
     impl = batch_impl_for(fn)
     assert impl is not None  # resolve_batch_mode checked the registry
     metrics = MetricsRegistry() if collect_metrics else None
     traces = [
-        TraceRecorder(trial=start + offset) if collect_trace else None
-        for offset in range(len(children))
+        TraceRecorder(trial=index) if collect_trace else None
+        for index in range(lo, hi)
     ]
     contexts = [
-        _trial_context(start + offset, child, metrics, traces[offset])
-        for offset, child in enumerate(children)
+        _trial_context(index, seed, metrics, trace)
+        for index, trace in zip(range(lo, hi), traces)
     ]
     values, stats = impl(fn, contexts, args)
-    if len(values) != len(children):
+    if len(values) != hi - lo:
         raise RuntimeError(
             f"batch implementation returned {len(values)} values for "
-            f"{len(children)} trials"
+            f"{hi - lo} trials"
         )
     records: list[dict[str, Any]] = []
     for trace in traces:
@@ -252,7 +255,7 @@ def _run_chunk_batched(
 
 def _trial_context(
     index: int,
-    child: np.random.SeedSequence,
+    seed: int,
     metrics: MetricsRegistry | None,
     trace: TraceRecorder | None,
 ) -> Any:
@@ -260,9 +263,7 @@ def _trial_context(
     # lives next to the runner.
     from ..runner import TrialContext
 
-    return TrialContext(
-        index=index, seed_sequence=child, metrics=metrics, trace=trace
-    )
+    return TrialContext(index=index, seed=seed, metrics=metrics, trace=trace)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,8 +271,9 @@ class ChunkJob:
     """One dispatchable unit: a contiguous range of trials of a sweep.
 
     ``index`` is the chunk ordinal within the sweep (stable across
-    retries); ``[lo, hi)`` the trial range; ``children`` the spawned
-    per-trial seed streams; ``collect`` the ``(metrics, trace)``
+    retries); ``[lo, hi)`` the trial range; ``seed`` the sweep seed every
+    trial's stream is keyed under (the job carries no streams, so its
+    pickled size does not grow with the chunk); ``collect`` the ``(metrics, trace)``
     telemetry flags.  ``trace_id`` is the sweep's deterministic span
     trace id (see :mod:`repro.obs.spans`) -- observability context only,
     propagated in the TCP lease frames so a wire capture can be joined
@@ -284,7 +286,7 @@ class ChunkJob:
     lo: int
     hi: int
     fn: Callable[..., Any]
-    children: tuple[np.random.SeedSequence, ...]
+    seed: int
     args: tuple[Any, ...]
     collect: tuple[bool, bool]
     batch: str = "off"
@@ -293,7 +295,7 @@ class ChunkJob:
     def run(self) -> ChunkResult:
         """Execute the job in the calling process (fallback/serial path)."""
         return run_chunk(
-            self.fn, self.lo, self.children, self.args, *self.collect,
+            self.fn, self.seed, self.lo, self.hi, self.args, *self.collect,
             batch=self.batch,
         )
 

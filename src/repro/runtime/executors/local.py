@@ -58,7 +58,7 @@ class LocalProcessBackend:
             self.start()
         assert self._pool is not None
         return self._pool.submit(
-            run_chunk, job.fn, job.lo, job.children, job.args, *job.collect,
+            run_chunk, job.fn, job.seed, job.lo, job.hi, job.args, *job.collect,
             batch=job.batch,
         )
 

@@ -553,6 +553,7 @@ class TcpWorkQueueBackend:
             frame = {
                 "t": "lease",
                 "task": task_id,
+                "seed": job.seed,
                 "lo": job.lo,
                 "hi": job.hi,
                 # Span-trace context (observability only): workers echo it
@@ -560,7 +561,7 @@ class TcpWorkQueueBackend:
                 # with the coordinator's ops trace.
                 "trace": job.trace_id,
                 "job": encode_blob(
-                    (job.fn, job.children, job.args, job.collect, job.batch)
+                    (job.fn, job.args, job.collect, job.batch)
                 ),
             }
             try:

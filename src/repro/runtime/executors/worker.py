@@ -134,13 +134,12 @@ def _serve_coordinator(
                 continue
             try:
                 task_id = int(frame["task"])
-                fn, children, args, collect, batch = decode_blob(
-                    str(frame["job"])
-                )
+                seed, lo, hi = (int(frame[k]) for k in ("seed", "lo", "hi"))
+                fn, args, collect, batch = decode_blob(str(frame["job"]))
             except (KeyError, TypeError, ValueError):
                 return 1
             result: ChunkResult = run_chunk(
-                fn, int(frame["lo"]), children, args, *collect, batch=batch
+                fn, seed, lo, hi, args, *collect, batch=batch
             )
             try:
                 send_frame(

@@ -28,7 +28,7 @@ watchdog, pool rebuild, in-order fold all live in
   trial-order prefix, the journal keeps every completed chunk, and
   ``mlec-sim resume <checkpoint>`` re-executes the original
   command with the journal preloaded.  Because trial ``i`` always owns
-  the ``i``-th spawned ``SeedSequence`` and results are folded in chunk
+  the stream keyed ``(seed, i)`` and results are folded in chunk
   order *after* execution, a resumed sweep is bitwise identical to an
   uninterrupted one at any worker count.
 

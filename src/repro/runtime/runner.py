@@ -8,10 +8,13 @@ as infrastructure, and its scheduler is the only one in the package:
 :class:`~repro.runtime.resilience.ResilientRunner` is the same scheduler
 plus a checkpoint journal and a wider retry budget.
 
-* **Deterministic for any worker count.**  Trial ``i`` always receives the
-  ``i``-th child of ``numpy.random.SeedSequence(seed).spawn(trials)``, and
-  aggregation always folds results in trial order, so ``workers=1`` and
-  ``workers=16`` produce bitwise-identical results for the same seed.
+* **Deterministic for any worker count.**  Trial ``i`` always draws from
+  ``numpy.random.SeedSequence(seed, spawn_key=(i,))`` -- the ``i``-th
+  child ``SeedSequence(seed).spawn`` would hand out, built lazily by
+  whichever process runs the trial -- and aggregation always folds
+  results in trial order, so ``workers=1`` and ``workers=16`` produce
+  bitwise-identical results for the same seed.  A chunk ships only
+  ``(seed, lo, hi)``, never a list of streams.
 * **Chunked dispatch.**  Trials are grouped into contiguous chunks so the
   per-task IPC cost amortizes over many cheap trials; chunks complete in
   any order and are folded *in index order* once the sweep is done,
@@ -39,8 +42,9 @@ plus a checkpoint journal and a wider retry budget.
   worker-side traceback when there is one) and carrying the completed
   trial-order prefix, instead of hanging or returning partial data.
 
-Trial functions receive a :class:`TrialContext` (trial index + spawned
-``SeedSequence``, plus optional per-trial telemetry sinks) followed by the
+Trial functions receive a :class:`TrialContext` (trial index + the
+sweep seed its stream is keyed by, plus optional per-trial telemetry
+sinks) followed by the
 ``args`` tuple, and must be defined at module top level so the process
 pool can pickle them.
 
@@ -223,15 +227,17 @@ def args_digest(args: tuple[Any, ...]) -> str:
 class TrialContext:
     """What one trial gets to work with: its index and its own stream.
 
-    ``seed_sequence`` is the ``index``-th spawned child of the sweep's root
-    ``SeedSequence`` -- statistically independent of every other trial's
-    stream regardless of which worker runs it.  Trial functions that need a
-    legacy integer seed (e.g. to feed an event-driven simulator's ``run``)
-    may use ``index`` instead; both choices are deterministic.
+    Trial ``index`` of a sweep seeded ``seed`` draws from
+    ``SeedSequence(seed, spawn_key=(index,))``: statistically independent
+    of every other trial's stream, and the same whichever worker builds
+    it.  Every trial function draws through :meth:`rng` (or hands
+    :meth:`seed_sequence` to a simulator's ``run``); none derives a
+    stream from an integer of its own.
     """
 
     index: int
-    seed_sequence: np.random.SeedSequence
+    #: The sweep's root seed; the trial's stream is keyed under it.
+    seed: int
     #: Registry for this trial's worker chunk, or ``None`` when the sweep
     #: was started without ``metrics=``.  Counters/histograms sum and
     #: gauges keep the last written value, so chunk boundaries are
@@ -241,9 +247,21 @@ class TrialContext:
     #: when the sweep was started without ``trace=``.
     trace: TraceRecorder | None = None
 
-    def rng(self) -> np.random.Generator:
-        """A fresh generator on this trial's private stream."""
-        return np.random.default_rng(self.seed_sequence)
+    def seed_sequence(self, key: int | None = None) -> np.random.SeedSequence:
+        """The sweep's stream ``key`` (by default this trial's own).
+
+        Stream ``i`` is ``SeedSequence(seed).spawn(i + 1)[i]``, built
+        without spawning the ``i`` streams before it.  Trials of one
+        sweep that pass the same ``key`` draw the same numbers: that is
+        how paired comparisons get common random numbers.
+        """
+        return np.random.SeedSequence(
+            self.seed, spawn_key=(self.index if key is None else key,)
+        )
+
+    def rng(self, key: int | None = None) -> np.random.Generator:
+        """A fresh generator on the stream :meth:`seed_sequence` names."""
+        return np.random.default_rng(self.seed_sequence(key))
 
 
 @dataclasses.dataclass
@@ -345,7 +363,7 @@ class _Sweep:
     ordinal: int
     fn: Callable[..., Any]
     args: tuple[Any, ...]
-    children: list[np.random.SeedSequence]
+    seed: int
     collect: tuple[bool, bool]
     batch: str
     trace_id: str
@@ -364,7 +382,7 @@ class _Sweep:
             lo=lo,
             hi=hi,
             fn=self.fn,
-            children=tuple(self.children[lo:hi]),
+            seed=self.seed,
             args=self.args,
             collect=self.collect,
             batch=self.batch,
@@ -619,7 +637,7 @@ class TrialRunner:
                 ordinal=self._sweep,
                 fn=fn,
                 args=args,
-                children=np.random.SeedSequence(seed).spawn(trials),
+                seed=seed,
                 collect=(metrics is not None, trace is not None),
                 batch=self.batch,
                 trace_id=self.spans.trace_id,

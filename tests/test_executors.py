@@ -12,6 +12,7 @@ telemetry.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import sys
@@ -30,6 +31,7 @@ from repro.runtime import (
     ResilientRunner,
     RetryPolicy,
     TcpWorkQueueBackend,
+    TrialContext,
     TrialExecutionError,
     TrialRunner,
     make_backend,
@@ -80,10 +82,9 @@ def _run_telemetry(runner, trials, seed, marker=None, fn=_telemetry_trial):
 
 
 def _make_job(index=0, lo=0, hi=4, seed=3):
-    children = np.random.SeedSequence(seed).spawn(hi)
     return ChunkJob(
         index=index, lo=lo, hi=hi, fn=_value_trial,
-        children=tuple(children[lo:hi]), args=(), collect=(False, False),
+        seed=seed, args=(), collect=(False, False),
     )
 
 
@@ -211,6 +212,25 @@ class TestBackendSpec:
         backend = TcpWorkQueueBackend()
         with pytest.raises(BackendUnavailable, match="not started"):
             backend.address
+
+
+class TestChunkJob:
+    def test_pickled_size_does_not_grow_with_chunk_length(self):
+        """A job names its trials by ``(seed, lo, hi)``: a 100,000-trial
+        chunk pickles to the same few bytes as a one-trial chunk."""
+        one = len(pickle.dumps(_make_job(lo=0, hi=1)))
+        many = len(pickle.dumps(_make_job(lo=0, hi=100_000)))
+        assert many - one <= 4  # only the int encoding of ``hi`` widens
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
+    def test_trial_stream_is_the_spawned_child(self, seed):
+        """Trial ``i``'s lazily keyed stream is ``SeedSequence(seed)``'s
+        ``i``-th spawned child, so building it on demand moves nothing."""
+        spawned = np.random.SeedSequence(seed).spawn(300)
+        for index in (0, 1, 17, 299):
+            ctx = TrialContext(index=index, seed=seed)
+            want = np.random.default_rng(spawned[index]).random(4)
+            assert ctx.rng().random(4).tolist() == want.tolist()
 
 
 class TestLocalBackend:
@@ -358,9 +378,10 @@ def _recording_trial(ctx):
 
 
 class TestWorkerLease:
-    def test_four_tuple_job_exits_1_unrun(self):
-        """A lease ships ``(fn, children, args, collect, batch)``; a worker
-        handed a job of any other shape exits 1 without running it."""
+    def test_misshapen_job_exits_1_unrun(self):
+        """A lease ships ``(fn, args, collect, batch)`` beside its
+        ``seed``/``lo``/``hi``; a worker handed a job of any other shape
+        exits 1 without running it."""
         codes = []
         with socket.create_server(("127.0.0.1", 0)) as server:
             port = server.getsockname()[1]
@@ -376,14 +397,9 @@ class TestWorkerLease:
             with conn:
                 conn.settimeout(10.0)
                 assert recv_frame(conn)["t"] == "hello"
-                job = (
-                    _recording_trial,
-                    tuple(np.random.SeedSequence(0).spawn(1)),
-                    (),
-                    (False, False),
-                )
+                job = (_recording_trial, (), (False, False))
                 send_frame(conn, {
-                    "t": "lease", "task": 1, "lo": 0, "hi": 1,
+                    "t": "lease", "task": 1, "seed": 0, "lo": 0, "hi": 1,
                     "job": encode_blob(job),
                 })
                 thread.join(timeout=10.0)
