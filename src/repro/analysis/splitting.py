@@ -101,16 +101,11 @@ def _stage1_pool_year(
     afr: float,
     bw: BandwidthConfig,
     failures: FailureConfig,
-    base_seed: int,
 ) -> tuple[int, tuple[float, ...]]:
-    """One accelerated pool-year: catastrophic count + lost fractions.
-
-    Seeds stay on the historical ``base_seed + year`` grid (rather than the
-    spawned stream) so parallel sweeps reproduce the serial results bit for
-    bit.
-    """
+    """One accelerated pool-year on its own stream: catastrophic count +
+    lost fractions."""
     sim = _pool_simulator(scheme, afr, bw, failures)
-    result = sim.run(mission_time=YEAR, seed=base_seed + ctx.index)
+    result = sim.run(mission_time=YEAR, seed=ctx.seed_sequence())
     return (
         result.n_catastrophic,
         tuple(s.lost_fraction for s in result.catastrophic_samples),
@@ -145,7 +140,7 @@ def stage1_pool_rate(
             _stage1_pool_year,
             pool_years_each,
             seed=seed + i,
-            args=(scheme, afr, bw, failures, seed + i * 100_000),
+            args=(scheme, afr, bw, failures),
         )
         events = 0
         for n_catastrophic, fractions in outcomes:

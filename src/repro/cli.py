@@ -472,7 +472,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mean_catastrophic = sum(r.n_catastrophic_events for r in results) / trials
     mean_cross_tb = sum(r.cross_rack_repair_bytes for r in results) / trials / 1e12
     print(f"simulated {trials} x {args.months} months of {scheme} + {method} "
-          f"at AFR {args.afr:.1%} (seeds {args.seed}..{args.seed + trials - 1}):")
+          f"at AFR {args.afr:.1%} (seed {args.seed}):")
     print(f"  trials with data loss: {losses}/{trials}")
     print(f"  mean disk failures   : {mean_failures:.1f}")
     print(f"  mean catastrophic    : {mean_catastrophic:.2f}")
@@ -740,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trials", type=int, default=1,
-        help="independent missions to simulate (seeds seed..seed+trials-1)",
+        help="independent missions to simulate, each on its own stream "
+             "keyed under --seed",
     )
     _add_workers_arg(p)
     _add_backend_args(p)

@@ -53,7 +53,10 @@ YEAR = 365 * DAY
 #: same results only within one stream, so checkpoint journals and the
 #: service's result cache key record it.  Stream 2 draws only the initial
 #: disk failures inside a mission (``repro.sim.failures.initial_failures``).
-RNG_STREAM = 2
+#: Stream 3 draws each burst cell as one block
+#: (``BurstGenerator.sample(..., size=...)``) and runs every trial --
+#: simulate, chaos, splitting stage 1 -- on its runner-keyed stream.
+RNG_STREAM = 3
 
 _MLEC_CODE_RE = re.compile(r"^\(?(\d+)\+(\d+)\)?/\(?(\d+)\+(\d+)\)?$")
 

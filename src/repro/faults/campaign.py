@@ -278,14 +278,13 @@ def _campaign_trial(
     bw: BandwidthConfig | None,
     failures: FailureConfig | None,
     check_invariants: bool,
-    seed: int,
 ) -> _TrialOutcome:
     """One (scenario, scheme, trial) cell entry; runs in a worker process.
 
     Each trial builds its own injector and simulator (both are cheap and
-    stateless across runs), and keeps the historical ``seed + trial``
-    integer seeding so trial ``i`` stays paired across schemes and the
-    parallel sweep reproduces the serial one exactly.
+    stateless across runs).  Trial ``t`` of every scenario and scheme
+    runs on the sweep's stream keyed ``t`` -- common random numbers, so
+    schemes are compared on paired draws.
     """
     scenario_idx, scheme_idx, trial = tasks[ctx.index]
     scenario: ChaosScenario = scenarios[scenario_idx]
@@ -303,7 +302,7 @@ def _campaign_trial(
     checker = InvariantChecker(sim, strict=False) if check_invariants else None
     result = sim.run(
         mission_time=scenario.mission_time,
-        seed=seed + trial,
+        seed=ctx.seed_sequence(trial),
         observer=checker,
         recorder=ctx.trace,
         metrics=ctx.metrics,
@@ -350,8 +349,8 @@ class ChaosCampaign:
         System configuration shared by every run; ``dc`` defaults to the
         reduced :func:`chaos_datacenter` topology.
     trials:
-        Seeds per (scenario, scheme) cell.  Trial ``i`` reuses the same
-        seed across schemes so comparisons are paired.
+        Trials per (scenario, scheme) cell.  Trial ``i`` draws the same
+        keyed stream in every cell, so comparisons are paired.
     scenarios:
         Injection scenarios (default: :func:`standard_scenarios`).
     check_invariants:
@@ -443,7 +442,6 @@ class ChaosCampaign:
                 args=(
                     tasks, self.scenarios, self.schemes, self.trials, self.dc,
                     self.method, self.bw, self.failures, self.check_invariants,
-                    seed,
                 ),
                 trace=trace,
                 metrics=metrics,

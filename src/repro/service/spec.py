@@ -291,7 +291,6 @@ class SweepSpec:
                 RepairMethod(self.method),
                 self.afr,
                 _mission_time(self.months),
-                self.seed,
             )
         return JobPlan(
             kind=self.kind, fn=fn, args=args, trials=self.trials, seed=self.seed

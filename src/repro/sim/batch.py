@@ -2,8 +2,8 @@
 
 The trial runners execute sweeps one trial at a time: build a context,
 call the trial function, collect the value.  That shape is what makes the
-determinism contract simple -- trial ``i`` always consumes the ``i``-th
-spawned seed stream -- but it leaves easy vector wins on the table: most
+determinism contract simple -- trial ``i`` always consumes its own
+keyed stream -- but it leaves easy vector wins on the table: most
 trials of the paper's sweeps are *simple* (no catastrophe, no overlapping
 repairs, a guaranteed-zero PDL) and their outcome can be computed for a
 whole chunk at once with numpy.
@@ -337,9 +337,9 @@ def _grid_cell_trial_batch(
 ) -> tuple[list[Any], BatchStats]:
     """Batch form of :func:`repro.sim.burst._grid_cell_trial`.
 
-    Each context is one heatmap cell; its bursts are classified as a
-    block and only bursts the classifier cannot decide go through the
-    scalar evaluator.  The per-cell mean reproduces the scalar fold:
+    Each context is one heatmap cell; its bursts are drawn and
+    classified as one block, and only bursts the classifier cannot
+    decide go through the scalar evaluator.  The per-cell mean reproduces the scalar fold:
     adding a guaranteed ``0.0`` is an exact identity, so folding the
     nonzero PDLs in burst order matches ``total += pdl`` bit-for-bit.
     """
@@ -356,9 +356,7 @@ def _grid_cell_trial_batch(
             batched += 1
             continue
         gen.rng = ctx.rng()
-        samples = np.empty((trials, failures), dtype=np.int64)
-        for k in range(trials):  # simlint: disable=SL010 -- sequential draws
-            samples[k] = gen.sample(failures, racks)
+        samples = gen.sample(failures, racks, size=trials)
         classified = _classify_burst_pdls(evaluator, samples)
         reason = "undecided"
         if classified is None:
@@ -489,16 +487,16 @@ def simulate_trial(
     method: RepairMethod,
     afr: float,
     mission_time: float,
-    base_seed: int,
 ) -> SystemSimResult:
     """One full-system simulation trial (``mlec-sim simulate``, the
-    service's simulate jobs); module-level so workers can unpickle it."""
+    service's simulate jobs) on the trial's own stream; module-level so
+    workers can unpickle it."""
     sim = MLECSystemSimulator(
         scheme, method, failure_model=ExponentialFailures(afr)
     )
     return sim.run(
         mission_time=mission_time,
-        seed=base_seed + ctx.index,
+        seed=ctx.seed_sequence(),
         recorder=ctx.trace,
         metrics=ctx.metrics,
     )
@@ -531,7 +529,7 @@ def simulate_batch_impl(
     on the full event loop; traced trials are always demoted -- the
     scalar event interleaving is the trace contract.
     """
-    scheme, method, afr, mission_time, base_seed = args
+    scheme, method, afr, mission_time = args
     sim = MLECSystemSimulator(
         scheme, method, failure_model=ExponentialFailures(afr)
     )
@@ -553,9 +551,9 @@ def simulate_batch_impl(
             values.append(fn(ctx, *args))
             demotions["traced"] += 1
             continue
-        # Same derivation the scalar trial feeds `sim.run(seed=...)`:
-        # replaying its stream verbatim is the whole point here.
-        rng = np.random.default_rng(base_seed + ctx.index)  # simlint: disable=SL002
+        # The stream the scalar trial feeds `sim.run(seed=...)`:
+        # replaying it verbatim is the whole point here.
+        rng = ctx.rng()
         disks, times = initial_failures(model, rng, total_disks, mission_time)
         chain_t, _disks, reason = _failure_chain(
             disks, times, rng, scale, mission_time, sim.pool_divisor,

@@ -76,12 +76,18 @@ class BurstGenerator:
         self.topo = DatacenterTopology(self.dc)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
-    def sample(self, failures: int, racks: int) -> AnyArray:
-        """One burst: global disk ids of the failed disks.
+    def sample(
+        self, failures: int, racks: int, size: int | None = None
+    ) -> AnyArray:
+        """Failure bursts: the sorted global ids of the failed disks.
 
-        Every affected rack receives at least one failure (otherwise it
-        would not be an affected rack); the remainder is uniform without
-        replacement over the affected racks' remaining disks.
+        Without ``size`` one burst, shape ``(failures,)``; with it
+        ``size`` independent bursts drawn as one block, shape
+        ``(size, failures)``, in a few array calls whatever ``size`` is.
+        Per burst: ``racks`` distinct racks, the ``racks`` smallest of
+        uniform keys; one guaranteed failure per affected rack (otherwise
+        it would not be an affected rack); the remainder uniform without
+        replacement over the affected racks' other disks.
         """
         if racks < 1 or racks > self.dc.racks:
             raise ValueError(f"racks must be in [1, {self.dc.racks}]")
@@ -92,22 +98,62 @@ class BurstGenerator:
             raise ValueError("more failures than disks in the affected racks")
 
         rng = self.rng
-        chosen_racks = rng.choice(self.dc.racks, size=racks, replace=False)
-        # One guaranteed failure per rack.
-        first = chosen_racks * dpr + rng.integers(dpr, size=racks)
+        rows = 1 if size is None else size
+        keys = rng.random((rows, self.dc.racks))
+        chosen = np.argpartition(keys, racks - 1, axis=1)[:, :racks]
+        bursts = chosen * dpr + rng.integers(dpr, size=(rows, racks))
         extra_n = failures - racks
-        if extra_n == 0:
-            return np.sort(first)
-        # Remaining failures: uniform w/o replacement over the affected
-        # racks' disks, excluding the guaranteed ones.  Sample local indices
-        # in [0, racks*(dpr-1)) and map around the exclusions.
-        local = rng.choice(racks * (dpr - 1), size=extra_n, replace=False)
-        rack_idx = local // (dpr - 1)
-        slot = local % (dpr - 1)
-        first_slot = first % dpr
-        slot = slot + (slot >= first_slot[rack_idx])
-        extra = chosen_racks[rack_idx] * dpr + slot
-        return np.sort(np.concatenate([first, extra]))
+        if extra_n:
+            # Remaining failures: local indices in [0, racks*(dpr-1)) over
+            # the affected racks' disks minus the guaranteed ones, mapped
+            # around each rack's guaranteed disk.
+            local = _distinct_sorted(rng, racks * (dpr - 1), extra_n, rows)
+            rows_at = np.arange(0, rows * racks, racks)[:, None]
+            first = bursts.ravel()[local // (dpr - 1) + rows_at]
+            first_slot = first % dpr
+            slot = local % (dpr - 1)
+            extra = first - first_slot + slot + (slot >= first_slot)
+            bursts = np.concatenate((bursts, extra), axis=1)
+        bursts.sort(axis=1)
+        return bursts[0] if size is None else bursts
+
+
+#: Floats of uniform keys :func:`_distinct_sorted` holds at once.
+_KEY_BLOCK = 1 << 20
+
+
+def _distinct_sorted(
+    rng: np.random.Generator, population: int, count: int, rows: int
+) -> AnyArray:
+    """``rows`` uniform ``count``-subsets of ``range(population)``, each
+    row sorted.
+
+    Sparse subsets draw ``count`` uniform integers per row and redraw
+    whole every row that holds a duplicate: a row kept is a uniform
+    draw conditioned on being distinct, i.e. a uniform subset.  When
+    rejection would cost more draws than the population, each row takes
+    the ``count`` smallest of ``population`` uniform keys instead (in
+    row blocks, which consume the stream exactly as one call would).
+    Which method runs depends only on the arguments, so a seeded call
+    is repeatable.
+    """
+    pairs = count * (count - 1) / 2.0
+    if pairs / population < 50.0 and count * np.exp(pairs / population) < population:
+        local = np.empty((rows, count), dtype=np.int64)
+        redo = np.arange(rows)
+        while redo.size:
+            fresh = rng.integers(population, size=(redo.size, count))
+            fresh.sort(axis=1)
+            local[redo] = fresh
+            redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
+        return local
+    local = np.empty((rows, count), dtype=np.int64)
+    step = max(1, _KEY_BLOCK // population)
+    for lo in range(0, rows, step):
+        keys = rng.random((min(step, rows - lo), population))
+        local[lo:lo + step] = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    local.sort(axis=1)
+    return local
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +389,10 @@ def burst_pdl_stats(
 ) -> TrialAggregate:
     """Monte-Carlo PDL with confidence interval, fanned out over a runner.
 
-    Trial ``i`` draws from the ``i``-th spawned child of
-    ``SeedSequence(seed)``, so the aggregate -- and any ``metrics``/
-    ``trace`` telemetry -- is bitwise identical for any worker count.
+    Trial ``i`` draws from the sweep's stream ``i`` (see
+    :class:`~repro.runtime.TrialContext`), so the aggregate -- and any
+    ``metrics``/``trace`` telemetry -- is bitwise identical for any
+    worker count.
     Passing a :class:`~repro.runtime.ResilientRunner` adds chunk-level
     checkpointing, retry, and resume with the same determinism guarantee.
     ``batch`` configures the vectorized batch engine when this function
@@ -379,18 +426,18 @@ def burst_pdl(
 ) -> float:
     """Monte-Carlo PDL for one burst scenario (one heatmap cell).
 
-    With ``rng`` the trials consume the caller's shared stream serially
-    (lets one generator thread through several cells).
-    Without it, trials run through ``runner`` on spawned per-trial streams
-    -- deterministic for any worker count.
+    With ``rng`` the trials are one block drawn from the caller's shared
+    stream (lets one generator thread through several cells).
+    Without it, trials run through ``runner`` on per-trial streams --
+    deterministic for any worker count.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if rng is not None:
         gen = BurstGenerator(dc if dc is not None else evaluator.scheme.dc, rng)
         total = 0.0
-        for _ in range(trials):
-            total += evaluator.pdl_of_burst(gen.sample(failures, racks))
+        for burst in gen.sample(failures, racks, size=trials):
+            total += evaluator.pdl_of_burst(burst)
         return total / trials
     return burst_pdl_stats(
         evaluator, failures, racks, trials, seed=seed, dc=dc, runner=runner
@@ -404,12 +451,13 @@ def _grid_cell_trial(
     trials: int,
     dc: DatacenterConfig,
 ) -> float:
-    """One heatmap cell: ``trials`` bursts on the cell's private stream."""
+    """One heatmap cell: ``trials`` bursts on the cell's private stream,
+    drawn as one block."""
     _i, _j, failures, racks = cells[ctx.index]
     gen = BurstGenerator(dc, ctx.rng())
     total = 0.0
-    for _ in range(trials):
-        total += evaluator.pdl_of_burst(gen.sample(failures, racks))
+    for burst in gen.sample(failures, racks, size=trials):
+        total += evaluator.pdl_of_burst(burst)
     return total / trials
 
 
@@ -427,7 +475,7 @@ def burst_pdl_grid(
 
     Cells with fewer failures than affected racks are impossible and
     reported as NaN (the paper's figures leave them blank).  The feasible
-    cells run as trials of a runner, one spawned stream per cell, so the
+    cells run as trials of a runner, one stream per cell, so the
     grid is bitwise identical for any worker count.  Without a
     ``runner`` one is built from ``workers`` and ``batch`` (the batch
     engine is speed only: bit-identical results); a caller-provided

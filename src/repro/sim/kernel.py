@@ -21,11 +21,18 @@ import numpy as np
 from .events import Event, EventQueue, EventType
 from .failures import FailureModel, initial_failures
 
-__all__ = ["DamageClasses", "PoolDamage", "EventKernel"]
+__all__ = ["DamageClasses", "PoolDamage", "EventKernel", "Seed"]
 
-#: Work at or below this many chunks counts as drained: repair progress is
-#: banked in floats, and residues must not draw catastrophe tests.
-_RESIDUE = 1e-6
+#: What seeds a run's generator: an integer, or a trial's keyed stream
+#: (:meth:`repro.runtime.TrialContext.seed_sequence`).
+Seed = int | np.random.SeedSequence
+
+#: Work at or below this share of one disk's chunks counts as drained:
+#: repair progress is banked in floats, and rounding residues must
+#: neither draw catastrophe tests nor keep a repaired pool alive.  The
+#: residues scale with the chunk counts (about 1e-7 chunks at the
+#: paper's 1.5e8 chunks per disk), so the tolerance does too.
+_RESIDUE_SHARE = 1e-9
 
 
 class DamageClasses:
@@ -40,7 +47,7 @@ class DamageClasses:
     damage is its failed-disk count alone.
     """
 
-    __slots__ = ("parities", "chunks_per_disk", "promotion", "hit_share")
+    __slots__ = ("parities", "chunks_per_disk", "promotion", "hit_share", "residue")
 
     def __init__(
         self, stripe_width: int, pool_disks: int, parities: int, chunks_per_disk: float
@@ -53,6 +60,8 @@ class DamageClasses:
             for d in range(parities - 1, 0, -1)
         ]
         self.hit_share = (stripe_width - parities) / (pool_disks - parities)
+        #: Outstanding chunks at or below this count as drained.
+        self.residue = chunks_per_disk * _RESIDUE_SHARE
 
 
 class PoolDamage:
@@ -87,7 +96,7 @@ class PoolDamage:
         """Expected critical stripes one more failed disk hits; 0.0 while
         no damage-``p`` work is outstanding."""
         critical = self.work[self.classes.parities]
-        if critical > _RESIDUE:
+        if critical > self.classes.residue:
             return critical * self.classes.hit_share
         return 0.0
 
@@ -106,13 +115,18 @@ class PoolDamage:
     def top_class(self) -> int | None:
         """The most critical class with outstanding work, if any."""
         work = self.work
+        residue = self.classes.residue
         for d in range(self.classes.parities, 0, -1):
-            if work[d] > _RESIDUE:
+            if work[d] > residue:
                 return d
         return None
 
     def is_idle(self) -> bool:
-        return self.failed == 0 and self.offline == 0 and not any(self.work)
+        """No failed or offline disk and no work above the residue."""
+        if self.failed or self.offline:
+            return False
+        residue = self.classes.residue
+        return all(w <= residue for w in self.work)
 
 
 #: An event handler; a true return value ends the run at that event.
@@ -134,7 +148,7 @@ class EventKernel:
         failure_model: FailureModel,
         n_disks: int,
         mission_time: float,
-        seed: int,
+        seed: Seed,
     ) -> None:
         if math.isnan(mission_time) or not mission_time > 0:
             raise ValueError(

@@ -34,7 +34,7 @@ import dataclasses
 from ..core.config import YEAR
 from .events import Event, EventType
 from .failures import ExponentialFailures, FailureModel
-from .kernel import DamageClasses, EventKernel, Handler, PoolDamage
+from .kernel import DamageClasses, EventKernel, Handler, PoolDamage, Seed
 
 __all__ = ["CatastrophicSample", "PoolSimResult", "LocalPoolSimulator"]
 
@@ -109,7 +109,7 @@ class LocalPoolSimulator:
     def run(
         self,
         mission_time: float = YEAR,
-        seed: int = 0,
+        seed: Seed = 0,
         stop_at_first_catastrophe: bool = False,
     ) -> PoolSimResult:
         """Simulate the pool for ``mission_time`` seconds."""

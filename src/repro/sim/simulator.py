@@ -55,7 +55,7 @@ from ..repair.bandwidth import BandwidthModel
 from ..topology.datacenter import DatacenterTopology
 from .events import Event, EventType
 from .failures import ExponentialFailures, FailureModel
-from .kernel import DamageClasses, EventKernel, PoolDamage
+from .kernel import DamageClasses, EventKernel, PoolDamage, Seed
 
 __all__ = [
     "DataLossEvent", "SystemSimResult", "MLECSystemSimulator",
@@ -616,7 +616,7 @@ class MLECSystemSimulator:
     def run(
         self,
         mission_time: float = YEAR,
-        seed: int = 0,
+        seed: Seed = 0,
         observer: SimObserver | None = None,
         recorder: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,

@@ -30,7 +30,7 @@ from ..core.types import Level, Placement
 from ..obs import MetricsRegistry, TraceRecorder
 from .events import Event, EventType
 from .failures import ExponentialFailures, FailureModel
-from .kernel import DamageClasses, EventKernel, PoolDamage
+from .kernel import DamageClasses, EventKernel, PoolDamage, Seed
 
 __all__ = ["SingleLevelSimResult", "SLECSystemSimulator"]
 
@@ -141,7 +141,7 @@ class SLECSystemSimulator:
     def run(
         self,
         mission_time: float = YEAR,
-        seed: int = 0,
+        seed: Seed = 0,
         recorder: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> SingleLevelSimResult:

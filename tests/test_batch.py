@@ -209,7 +209,7 @@ def simulate_case(scheme_name, afr, mission_time, trials, *, mode,
     metrics = MetricsRegistry()
     results = runner.map(
         simulate_trial, trials, seed=11,
-        args=(scheme, RepairMethod.R_ALL, afr, mission_time, 11),
+        args=(scheme, RepairMethod.R_ALL, afr, mission_time),
         metrics=metrics, trace=trace,
     )
     return results, metrics.snapshot(), runner
@@ -540,7 +540,7 @@ class TestOpsTelemetrySegregation:
         metrics = MetricsRegistry()
         scheme = mlec_scheme_from_name("C/C", MLECParams(4, 1, 5, 1))
         runner.map(simulate_trial, 4, seed=2,
-                   args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12, 2),
+                   args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12),
                    metrics=metrics, trace=TraceRecorder())
         burst_pdl_stats(mlec_evaluator("D/D"), 60, 3, trials=20, seed=1,
                         runner=runner, metrics=metrics)

@@ -7,6 +7,7 @@ from repro.core.config import PAPER_MLEC, SLECParams, YEAR
 from repro.core.scheme import SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement, RepairMethod
 from repro.sim.failures import ExponentialFailures, TraceFailures
+from repro.sim.kernel import DamageClasses, PoolDamage
 from repro.sim.local_pool import LocalPoolSimulator
 from repro.sim.simulator import MLECSystemSimulator
 from repro.sim.slec_sim import SLECSystemSimulator
@@ -163,3 +164,52 @@ class TestSchemePoolMapping:
         assert cc._co_stripe_key(0) != cc._co_stripe_key(1)
         dd = simulator("D/D")
         assert dd._co_stripe_key(0) == dd._co_stripe_key(479)
+
+
+class TestPoolDamageResidues:
+    """Banked repair work is float arithmetic; its rounding residues must
+    not keep a repaired pool alive."""
+
+    #: D/D pool geometry: (17+3) stripes over a 120-disk enclosure, at
+    #: the paper's 20 TB / 128 KiB = 152,587,890.625 chunks per disk.
+    CLASSES = DamageClasses(20, 120, 3, 152_587_890.625)
+
+    def replay(self, ops):
+        damage = PoolDamage(self.CLASSES)
+        for op in ops:
+            damage.promote() if op == "p" else damage.drain()
+        return damage
+
+    def test_drained_pool_with_residue_is_idle(self):
+        """Ten failures and ten repairs, interleaved as a chaos run saw
+        them, leave about 6e-8 chunks (two ulps) at damage 1."""
+        damage = self.replay("ppdppdpdpddppdppdddd")
+        assert damage.work[1] > 0.0  # the residue is really there
+        assert max(damage.work) < 1e-6
+        assert damage.is_idle()
+        assert damage.top_class() is None
+        assert damage.critical_hits() == 0.0
+
+    def test_outstanding_chunk_is_not_idle(self):
+        damage = self.replay("pppddd")
+        assert damage.is_idle()
+        damage.work[2] = 1.0  # one real chunk of repair left
+        assert not damage.is_idle()
+        assert damage.top_class() == 2
+
+    def test_failed_or_offline_disk_is_not_idle(self):
+        damage = self.replay("pd")
+        damage.offline = 1
+        assert not damage.is_idle()
+        damage.offline, damage.failed = 0, 1
+        assert not damage.is_idle()
+
+    def test_tolerance_scales_with_chunks_per_disk(self):
+        """The same residue, relative to a 1,000x larger disk, is still
+        drained; relative to a 1,000x smaller one it is real work."""
+        big = PoolDamage(DamageClasses(20, 120, 3, 152_587_890_625.0))
+        big.work[1] = 5.96e-5
+        assert big.is_idle()
+        small = PoolDamage(DamageClasses(20, 120, 3, 152_587.890625))
+        small.work[1] = 5.96e-4
+        assert not small.is_idle()
