@@ -392,7 +392,6 @@ def _parse_hostport(text: str, spec: str) -> tuple[str, int]:
 def make_backend(
     spec: str,
     *,
-    workers: int = 1,
     lease_timeout: float | None = None,
 ) -> "TcpWorkQueueBackend | None":
     """Build the executor backend a ``--backend`` spec names.
@@ -400,10 +399,9 @@ def make_backend(
     ``"local"`` returns ``None`` -- the runners' built-in local path,
     which preserves the ``workers=1`` never-touches-multiprocessing
     contract.  ``"tcp://HOST:PORT"`` returns a coordinator that binds
-    that address.  It runs no chunk itself: when no remote worker is
-    connected, the runner degrades to its own local path, sized by the
-    runner's ``workers``.  ``workers`` is accepted here so callers can
-    pass one set of options for every spec; no backend uses it.
+    that address, with ``lease_timeout`` when one is given.  It runs no
+    chunk itself: when no remote worker is connected, the runner
+    degrades to its own local path, sized by the runner's ``workers``.
     """
     kind, address = parse_backend_spec(spec)
     if kind == "local":

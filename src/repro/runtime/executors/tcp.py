@@ -153,14 +153,18 @@ class _Lease:
 
 @dataclasses.dataclass
 class _Task:
-    """Coordinator-side record of one submitted chunk job."""
+    """Coordinator-side record of one submitted, unresolved chunk job.
+
+    A task leaves the table the moment it resolves (result, failure or
+    :class:`BackendUnavailable`), is abandoned, or is found cancelled;
+    a result for a task no longer in the table is a duplicate.
+    """
 
     job: ChunkJob
     future: ChunkFuture
     leases: dict[str, _Lease] = dataclasses.field(default_factory=dict)
     queued: int = 1  # entries currently sitting in the dispatch queue
     steals: int = 0
-    done: bool = False
 
 
 class _WorkerConn:
@@ -352,10 +356,8 @@ class TcpWorkQueueBackend:
 
     def _abandon_tasks_locked(self) -> None:
         for task in self._tasks.values():
-            if not task.done:
-                task.done = True
-                task.leases.clear()
-                task.future.cancel()
+            task.future.cancel()
+        self._tasks.clear()
         self._queue.clear()
 
     def _accept_loop(self) -> None:
@@ -439,25 +441,19 @@ class TcpWorkQueueBackend:
                 worker.last_seen = time.monotonic()
                 if worker.task == task_id:
                     worker.task = None
-                task = self._tasks.get(task_id)
-                if task is None or task.done:
+                task = self._tasks.pop(task_id, None)
+                if task is None:
                     self._events.append(
                         BackendEvent(
                             "duplicate", {"task": task_id, "worker": worker.id}
                         )
                     )
                 else:
-                    task.leases.pop(worker.id, None)
-                    self._complete_locked(task, payload)
+                    try:
+                        task.future.set_result(payload)
+                    except InvalidStateError:
+                        pass  # cancelled by the runner; result discarded
                 self._wake.notify_all()
-
-    def _complete_locked(self, task: _Task, result: "ChunkPayload | ChunkFailure") -> None:
-        task.done = True
-        task.leases.clear()
-        try:
-            task.future.set_result(result)
-        except InvalidStateError:
-            pass  # cancelled by the runner; result discarded
 
     def _bury_locked(self, worker: _WorkerConn, reason: str) -> None:
         """Declare a worker dead and requeue any lease only it was running."""
@@ -472,7 +468,7 @@ class TcpWorkQueueBackend:
         worker.task = None
         if task_id is not None:
             task = self._tasks.get(task_id)
-            if task is not None and not task.done:
+            if task is not None:
                 task.leases.pop(worker.id, None)
                 if not task.leases and task.queued == 0:
                     task.queued += 1
@@ -503,8 +499,11 @@ class TcpWorkQueueBackend:
                 self._bury_locked(worker, "missed heartbeats")
 
     def _steal_expired_locked(self, now: float) -> None:
-        for task_id, task in self._tasks.items():
-            if task.done or task.queued > 0 or not task.leases:
+        for task_id, task in list(self._tasks.items()):
+            if task.future.cancelled():
+                del self._tasks[task_id]
+                continue
+            if task.queued > 0 or not task.leases:
                 continue
             leases = list(task.leases.values())
             if any(now - lease.started <= self._lease_timeout for lease in leases):
@@ -540,7 +539,8 @@ class TcpWorkQueueBackend:
             if task is None:
                 continue
             task.queued -= 1
-            if task.done or task.future.cancelled():
+            if task.future.cancelled():
+                del self._tasks[task_id]
                 continue
             # Never lease a task back to a worker already running it.
             worker = next((w for w in idle if w.id not in task.leases), None)
@@ -587,11 +587,9 @@ class TcpWorkQueueBackend:
         if not self._ever_connected and now - self._started_at < self._connect_grace:
             return
         for task_id in self._queue:
-            task = self._tasks.get(task_id)
-            if task is None or task.done:
+            task = self._tasks.pop(task_id, None)
+            if task is None:
                 continue
-            task.queued -= 1
-            task.done = True
             try:
                 task.future.set_exception(
                     BackendUnavailable("no worker is connected")

@@ -197,7 +197,7 @@ class TestBackendSpec:
             parse_backend_spec("tcp://host:70000")
 
     def test_make_backend_tcp(self):
-        backend = make_backend("tcp://127.0.0.1:0", workers=3, lease_timeout=7.0)
+        backend = make_backend("tcp://127.0.0.1:0", lease_timeout=7.0)
         assert isinstance(backend, TcpWorkQueueBackend)
         assert backend.name == "tcp"
         assert backend._lease_timeout == 7.0
@@ -275,6 +275,29 @@ class TestTcpRoundTrip:
             for proc in procs:
                 proc.join(timeout=30.0)
                 assert proc.exitcode == 0  # clean exit on coordinator close
+
+    def test_task_table_is_empty_after_each_sweep(self):
+        """A resolved chunk leaves the coordinator's task table, so a
+        long-lived backend holds no job or payload of a finished sweep
+        and its dispatch tick walks only live tasks."""
+        backend = TcpWorkQueueBackend(connect_grace=60.0)
+        backend.start()
+        procs = spawn_worker_procs(backend.address, 1)
+        runner = TrialRunner(workers=1, chunk_size=4, backend=backend)
+        try:
+            _wait_workers(backend, 1)
+            for seed in range(3):
+                agg = runner.run(_value_trial, 40, seed=seed)
+                assert agg.trials == 40
+                with backend._lock:
+                    assert backend._tasks == {}
+                    assert backend._queue == []
+        finally:
+            backend.shutdown()
+        assert runner.backend_name == "tcp"
+        for proc in procs:
+            proc.join(timeout=30.0)
+            assert proc.exitcode == 0
 
     def test_no_workers_degrades_to_local_fallback(self):
         reference = _run_telemetry(TrialRunner(workers=1), 16, 7)

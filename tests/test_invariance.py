@@ -500,8 +500,7 @@ def _run_grid(case, directory, monkeypatch):
     journal = directory / "ck.jsonl" if case.path == "resume" else None
     backend, procs = None, []
     if case.backend == "tcp":
-        backend = make_backend(f"tcp://127.0.0.1:{free_port()}",
-                               workers=case.workers)
+        backend = make_backend(f"tcp://127.0.0.1:{free_port()}")
         backend.start()
         procs = spawn_worker_procs(backend.address, 2)
     reporters = []
