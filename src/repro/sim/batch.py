@@ -339,9 +339,10 @@ def _grid_cell_trial_batch(
 
     Each context is one heatmap cell; its bursts are drawn and
     classified as one block, and only bursts the classifier cannot
-    decide go through the scalar evaluator.  The per-cell mean reproduces the scalar fold:
-    adding a guaranteed ``0.0`` is an exact identity, so folding the
-    nonzero PDLs in burst order matches ``total += pdl`` bit-for-bit.
+    decide go through the scalar evaluator.  The per-cell mean
+    reproduces the scalar fold: adding a guaranteed ``0.0`` is an exact
+    identity, so folding the nonzero PDLs in burst order matches
+    ``total += pdl`` bit-for-bit.
     """
     cells, evaluator, trials, dc = args
     gen = BurstGenerator(dc)

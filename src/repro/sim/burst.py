@@ -22,6 +22,7 @@ Averaging evaluator outputs over generator samples gives the heatmap cell.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Protocol
 
 import numpy as np
@@ -128,32 +129,45 @@ def _distinct_sorted(
     """``rows`` uniform ``count``-subsets of ``range(population)``, each
     row sorted.
 
-    Sparse subsets draw ``count`` uniform integers per row and redraw
-    whole every row that holds a duplicate: a row kept is a uniform
-    draw conditioned on being distinct, i.e. a uniform subset.  When
-    rejection would cost more draws than the population, each row takes
-    the ``count`` smallest of ``population`` uniform keys instead (in
-    row blocks, which consume the stream exactly as one call would).
-    Which method runs depends only on the arguments, so a seeded call
-    is repeatable.
+    Sparse subsets draw candidate rows of ``count`` uniform integers and
+    keep, in draw order, the first ``rows`` that hold no duplicate: a
+    kept row is a uniform draw conditioned on being distinct, i.e. a
+    uniform subset, and a row with a duplicate is replaced whole.  Each
+    call draws enough candidates that one call almost always suffices,
+    because the cost is the call, not the integers.  When rejection
+    would cost more draws than the population, each row takes the
+    ``count`` smallest of ``population`` uniform keys instead (in row
+    blocks, which consume the stream exactly as one call would).  What
+    runs depends only on the arguments, so a seeded call is repeatable.
     """
-    pairs = count * (count - 1) / 2.0
-    if pairs / population < 50.0 and count * np.exp(pairs / population) < population:
-        local = np.empty((rows, count), dtype=np.int64)
-        redo = np.arange(rows)
-        while redo.size:
-            fresh = rng.integers(population, size=(redo.size, count))
-            fresh.sort(axis=1)
-            local[redo] = fresh
-            redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
-        return local
-    local = np.empty((rows, count), dtype=np.int64)
+    out = np.empty((rows, count), dtype=np.int64)
+    # ln P[count uniform draws from the population are distinct]
+    log_accept = (
+        math.lgamma(population + 1)
+        - math.lgamma(population - count + 1)
+        - count * math.log(population)
+    )
+    if -log_accept < math.log(population / count):
+        accept = min(1.0, math.exp(log_accept))  # lgamma rounding
+        filled = 0
+        while filled < rows:
+            need = rows - filled
+            # Candidates for `need` keepers with three sigmas to spare.
+            spare = 3.0 * math.sqrt(need * (1.0 - accept)) + 1.0
+            draw = math.ceil((need + spare) / accept)
+            candidates = rng.integers(population, size=(draw, count))
+            candidates.sort(axis=1)
+            distinct = ~(candidates[:, 1:] == candidates[:, :-1]).any(axis=1)
+            kept = candidates[distinct][:need]
+            out[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        return out
     step = max(1, _KEY_BLOCK // population)
     for lo in range(0, rows, step):
         keys = rng.random((min(step, rows - lo), population))
-        local[lo:lo + step] = np.argpartition(keys, count - 1, axis=1)[:, :count]
-    local.sort(axis=1)
-    return local
+        out[lo:lo + step] = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    out.sort(axis=1)
+    return out
 
 
 # ----------------------------------------------------------------------

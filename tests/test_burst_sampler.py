@@ -37,6 +37,7 @@ CELLS = [
     (SMALL_DC, 12, 3),  # dense extras: uniform keys
     (SMALL_DC, 25, 3),  # dense extras: uniform keys
     (SMALL_DC, 60, 6),  # every disk
+    (PAPER_DC, 3, 2),  # one extra: every candidate row is distinct
     (PAPER_DC, 60, 3),  # rejection
     (PAPER_DC, 120, 1),  # uniform keys
 ]
