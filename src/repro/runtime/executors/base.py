@@ -273,8 +273,8 @@ class ChunkJob:
     ``index`` is the chunk ordinal within the sweep (stable across
     retries); ``[lo, hi)`` the trial range; ``seed`` the sweep seed every
     trial's stream is keyed under (the job carries no streams, so its
-    pickled size does not grow with the chunk); ``collect`` the ``(metrics, trace)``
-    telemetry flags.  ``trace_id`` is the sweep's deterministic span
+    pickled size does not grow with the chunk); ``collect`` the
+    ``(metrics, trace)`` telemetry flags.  ``trace_id`` is the sweep's deterministic span
     trace id (see :mod:`repro.obs.spans`) -- observability context only,
     propagated in the TCP lease frames so a wire capture can be joined
     with the coordinator's ops trace; it never influences execution.

@@ -44,9 +44,8 @@ plus a checkpoint journal and a wider retry budget.
 
 Trial functions receive a :class:`TrialContext` (trial index + the
 sweep seed its stream is keyed by, plus optional per-trial telemetry
-sinks) followed by the
-``args`` tuple, and must be defined at module top level so the process
-pool can pickle them.
+sinks) followed by the ``args`` tuple, and must be defined at module top
+level so the process pool can pickle them.
 
 **Telemetry.**  Passing ``metrics=``/``trace=`` to :meth:`TrialRunner.run`
 or :meth:`TrialRunner.map` hands every trial a private

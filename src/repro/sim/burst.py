@@ -97,6 +97,8 @@ class BurstGenerator:
         dpr = self.dc.disks_per_rack
         if failures > racks * dpr:
             raise ValueError("more failures than disks in the affected racks")
+        if size is not None and size < 1:
+            raise ValueError(f"size must be positive, got {size}")
 
         rng = self.rng
         rows = 1 if size is None else size
@@ -109,10 +111,10 @@ class BurstGenerator:
             # the affected racks' disks minus the guaranteed ones, mapped
             # around each rack's guaranteed disk.
             local = _distinct_sorted(rng, racks * (dpr - 1), extra_n, rows)
+            rack_idx, slot = np.divmod(local, dpr - 1)
             rows_at = np.arange(0, rows * racks, racks)[:, None]
-            first = bursts.ravel()[local // (dpr - 1) + rows_at]
+            first = bursts.ravel()[rack_idx + rows_at]
             first_slot = first % dpr
-            slot = local % (dpr - 1)
             extra = first - first_slot + slot + (slot >= first_slot)
             bursts = np.concatenate((bursts, extra), axis=1)
         bursts.sort(axis=1)
@@ -140,7 +142,6 @@ def _distinct_sorted(
     blocks, which consume the stream exactly as one call would).  What
     runs depends only on the arguments, so a seeded call is repeatable.
     """
-    out = np.empty((rows, count), dtype=np.int64)
     # ln P[count uniform draws from the population are distinct]
     log_accept = (
         math.lgamma(population + 1)
@@ -149,19 +150,19 @@ def _distinct_sorted(
     )
     if -log_accept < math.log(population / count):
         accept = min(1.0, math.exp(log_accept))  # lgamma rounding
-        filled = 0
-        while filled < rows:
-            need = rows - filled
+        parts = []
+        need = rows
+        while need > 0:
             # Candidates for `need` keepers with three sigmas to spare.
             spare = 3.0 * math.sqrt(need * (1.0 - accept)) + 1.0
             draw = math.ceil((need + spare) / accept)
             candidates = rng.integers(population, size=(draw, count))
             candidates.sort(axis=1)
-            distinct = ~(candidates[:, 1:] == candidates[:, :-1]).any(axis=1)
-            kept = candidates[distinct][:need]
-            out[filled:filled + len(kept)] = kept
-            filled += len(kept)
-        return out
+            distinct = (candidates[:, 1:] != candidates[:, :-1]).all(axis=1)
+            parts.append(candidates[distinct][:need])
+            need -= len(parts[-1])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = np.empty((rows, count), dtype=np.int64)
     step = max(1, _KEY_BLOCK // population)
     for lo in range(0, rows, step):
         keys = rng.random((min(step, rows - lo), population))

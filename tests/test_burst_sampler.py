@@ -123,6 +123,8 @@ class TestStructure:
             gen.sample(3, 5, size=4)  # fewer failures than racks
         with pytest.raises(ValueError):
             gen.sample(21, 2, size=4)  # two racks hold 20 disks
+        with pytest.raises(ValueError, match="size must be positive"):
+            gen.sample(5, 2, size=0)
 
 
 class TestLawMatchesChoiceSampler:
