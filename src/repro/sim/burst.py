@@ -22,6 +22,7 @@ Averaging evaluator outputs over generator samples gives the heatmap cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Protocol
 
@@ -125,6 +126,24 @@ class BurstGenerator:
 _KEY_BLOCK = 1 << 20
 
 
+@functools.lru_cache(maxsize=1024)
+def _distinct_acceptance(population: int, count: int) -> float:
+    """P[``count`` uniform draws from ``population`` are distinct]."""
+    log_accept = (
+        math.lgamma(population + 1)
+        - math.lgamma(population - count + 1)
+        - count * math.log(population)
+    )
+    return min(1.0, math.exp(log_accept))  # lgamma rounding can exceed 1
+
+
+def _candidate_rows(accept: float, need: int) -> int:
+    """Candidate rows that hold ``need`` distinct ones with about three
+    sigmas to spare."""
+    spare = 3.0 * math.sqrt(need * (1.0 - accept)) + 1.0
+    return math.ceil((need + spare) / accept)
+
+
 def _distinct_sorted(
     rng: np.random.Generator, population: int, count: int, rows: int
 ) -> AnyArray:
@@ -136,30 +155,27 @@ def _distinct_sorted(
     kept row is a uniform draw conditioned on being distinct, i.e. a
     uniform subset, and a row with a duplicate is replaced whole.  Each
     call draws enough candidates that one call almost always suffices,
-    because the cost is the call, not the integers.  When rejection
-    would cost more draws than the population, each row takes the
-    ``count`` smallest of ``population`` uniform keys instead (in row
-    blocks, which consume the stream exactly as one call would).  What
-    runs depends only on the arguments, so a seeded call is repeatable.
+    because the cost is the call, not the integers.  When the candidates
+    would outnumber ``rows * population`` uniform keys, each row takes
+    its ``count`` smallest of ``population`` uniform keys instead (in
+    row blocks, which consume the stream exactly as one call would).
+    What runs depends only on the arguments, so a seeded call is
+    repeatable.
     """
-    # ln P[count uniform draws from the population are distinct]
-    log_accept = (
-        math.lgamma(population + 1)
-        - math.lgamma(population - count + 1)
-        - count * math.log(population)
-    )
-    if -log_accept < math.log(population / count):
-        accept = min(1.0, math.exp(log_accept))  # lgamma rounding
+    accept = _distinct_acceptance(population, count)
+    if accept > 0.0 and _candidate_rows(accept, rows) * count < rows * population:
         parts = []
         need = rows
         while need > 0:
-            # Candidates for `need` keepers with three sigmas to spare.
-            spare = 3.0 * math.sqrt(need * (1.0 - accept)) + 1.0
-            draw = math.ceil((need + spare) / accept)
-            candidates = rng.integers(population, size=(draw, count))
+            candidates = rng.integers(
+                population, size=(_candidate_rows(accept, need), count)
+            )
             candidates.sort(axis=1)
-            distinct = (candidates[:, 1:] != candidates[:, :-1]).all(axis=1)
-            parts.append(candidates[distinct][:need])
+            distinct = candidates[:, 1:] != candidates[:, :-1]
+            if distinct[:need].all():  # the common case for a few rows
+                parts.append(candidates[:need])
+            else:
+                parts.append(candidates[distinct.all(axis=1)][:need])
             need -= len(parts[-1])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
     out = np.empty((rows, count), dtype=np.int64)

@@ -137,18 +137,26 @@ class TestLawMatchesChoiceSampler:
 
     N = 4000
 
+    @pytest.mark.parametrize("single", [False, True], ids=["block", "single"])
     @pytest.mark.parametrize("dc,failures,racks", [
         (SMALL_DC, 5, 2), (SMALL_DC, 8, 3), (SMALL_DC, 12, 3),
-        (SMALL_DC, 25, 3), (PAPER_DC, 60, 3), (PAPER_DC, 120, 1),
+        (SMALL_DC, 25, 3), (PAPER_DC, 60, 3), (PAPER_DC, 60, 1),
+        (PAPER_DC, 120, 1),
     ])
-    def test_same_law(self, dc, failures, racks):
+    def test_same_law(self, dc, failures, racks, single):
+        """A block of N bursts, and N single-burst calls (which size
+        their candidates for one row), both follow the reference law."""
         rng = np.random.default_rng(2024)
         reference = np.stack([
             choice_sample(dc, rng, failures, racks) for _ in range(self.N)
         ])
-        block = BurstGenerator(dc, np.random.default_rng(7)).sample(
-            failures, racks, size=self.N
-        )
+        gen = BurstGenerator(dc, np.random.default_rng(7))
+        if single:
+            block = np.stack([
+                gen.sample(failures, racks) for _ in range(self.N)
+            ])
+        else:
+            block = gen.sample(failures, racks, size=self.N)
         p_profile = two_sample_p(
             per_rack_profile(dc, reference), per_rack_profile(dc, block)
         )
