@@ -113,8 +113,9 @@ class BurstGenerator:
             # around each rack's guaranteed disk.
             local = _distinct_sorted(rng, racks * (dpr - 1), extra_n, rows)
             rack_idx, slot = np.divmod(local, dpr - 1)
-            rows_at = np.arange(0, rows * racks, racks)[:, None]
-            first = bursts.ravel()[rack_idx + rows_at]
+            if rows > 1:  # index each row's racks in the flattened block
+                rack_idx += np.arange(0, rows * racks, racks)[:, None]
+            first = bursts.ravel()[rack_idx]
             first_slot = first % dpr
             extra = first - first_slot + slot + (slot >= first_slot)
             bursts = np.concatenate((bursts, extra), axis=1)
@@ -137,6 +138,7 @@ def _distinct_acceptance(population: int, count: int) -> float:
     return min(1.0, math.exp(log_accept))  # lgamma rounding can exceed 1
 
 
+@functools.lru_cache(maxsize=1024)
 def _candidate_rows(accept: float, need: int) -> int:
     """Candidate rows that hold ``need`` distinct ones with about three
     sigmas to spare."""
