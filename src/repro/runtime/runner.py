@@ -249,8 +249,8 @@ class TrialContext:
     def seed_sequence(self, key: int | None = None) -> np.random.SeedSequence:
         """The sweep's stream ``key`` (by default this trial's own).
 
-        Stream ``i`` is ``SeedSequence(seed).spawn(i + 1)[i]``, built
-        without spawning the ``i`` streams before it.  Trials of one
+        Stream ``i`` is the ``i``-th child ``SeedSequence(seed)`` would
+        spawn, built without spawning the ``i`` streams before it.  Trials of one
         sweep that pass the same ``key`` draw the same numbers: that is
         how paired comparisons get common random numbers.
         """
