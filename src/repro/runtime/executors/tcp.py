@@ -156,8 +156,9 @@ class _Task:
     """Coordinator-side record of one submitted, unresolved chunk job.
 
     A task leaves the table the moment it resolves (result, failure or
-    :class:`BackendUnavailable`), is abandoned, or is found cancelled;
-    a result for a task no longer in the table is a duplicate.
+    :class:`BackendUnavailable`), is abandoned, or is found cancelled
+    when next taken from the queue; a result for a task no longer in the
+    table is a duplicate.
     """
 
     job: ChunkJob
@@ -499,10 +500,7 @@ class TcpWorkQueueBackend:
                 self._bury_locked(worker, "missed heartbeats")
 
     def _steal_expired_locked(self, now: float) -> None:
-        for task_id, task in list(self._tasks.items()):
-            if task.future.cancelled():
-                del self._tasks[task_id]
-                continue
+        for task_id, task in self._tasks.items():
             if task.queued > 0 or not task.leases:
                 continue
             leases = list(task.leases.values())

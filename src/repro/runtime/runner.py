@@ -258,9 +258,9 @@ class TrialContext:
             self.seed, spawn_key=(self.index if key is None else key,)
         )
 
-    def rng(self, key: int | None = None) -> np.random.Generator:
-        """A fresh generator on the stream :meth:`seed_sequence` names."""
-        return np.random.default_rng(self.seed_sequence(key))
+    def rng(self) -> np.random.Generator:
+        """A fresh generator on this trial's own stream."""
+        return np.random.default_rng(self.seed_sequence())
 
 
 @dataclasses.dataclass
