@@ -222,3 +222,107 @@ class TestGridDriver:
         assert grid.shape == (2, 2)
         assert np.isnan(grid[0, 1])  # 2 failures in 5 racks: impossible
         assert not np.isnan(grid[1, 1])
+
+
+GOLDEN_SEED = 2026
+FIG5_FAILURES = np.array([12, 24, 36, 48, 60])
+FIG5_RACKS = np.array([1, 2, 3, 6, 12, 30, 60])
+#: Heavier bursts, where every scheme's loss branch yields fractional PDLs.
+HEAVY_FAILURES = np.array([240, 480, 960])
+HEAVY_RACKS = np.array([6, 12, 24])
+
+
+def sha256(values):
+    import hashlib
+
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def aggregate_fields(agg):
+    return (
+        agg.trials, agg.total.hex(), agg.total_sq.hex(), agg.losses,
+        agg.minimum.hex(), agg.maximum.hex(),
+    )
+
+
+@pytest.mark.parametrize("batch", ["on", "off"])
+class TestGoldenArtifacts:
+    """Burst Monte Carlo values pinned bit for bit.
+
+    Each pin is a sha256 of the result bytes or the ``float.hex`` of an
+    aggregate field, so any change to how a burst is drawn, classified
+    or evaluated -- including a rounding or signed-zero change -- fails
+    here, in both batch modes.
+    """
+
+    FIG5_GRIDS = {
+        "C/C": "2e93cd7b7e99df37a3b99631dc54f8a14eaaf383331bfb21c03371bfe9ad0229",
+        "C/D": "2e93cd7b7e99df37a3b99631dc54f8a14eaaf383331bfb21c03371bfe9ad0229",
+        "D/C": "2e93cd7b7e99df37a3b99631dc54f8a14eaaf383331bfb21c03371bfe9ad0229",
+        "D/D": "35cd751c215b85f53e9d684b481062b66eec90de55fce366543807aee143a041",
+    }
+    HEAVY_GRIDS = {
+        "C/C": "cc959afe94943d95c02cd970e657cd2465cc8b0c424fc57db51e9d982729f53f",
+        "C/D": "0d23ed589f29fdbe93f611686560dd83b135d077407e2332760e905b27116ecc",
+        "D/C": "a09407cfa313d14b933a3ecd150fa30e7ff9e041a56ff8ba139919f6de0c51f9",
+        "D/D": "11415d2640ef1968c34ae0774a4cfc4ef7f0f0b14ab686f797c6ff73451d99bd",
+    }
+    HARD_CELL_STATS = {
+        "D/D": (200, "0x1.4e79b74a27430p+2", "0x1.0389fe52aad86p+0", 163,
+                "0x0.0p+0", "0x1.648f85aadc63bp-1"),
+        "C/D": (200, "0x1.79ab49691aedep-1", "0x1.6684254480e9fp-2", 2,
+                "-0x0.0p+0", "0x1.21fc60fcf5c00p-1"),
+    }
+    SLEC_TRIALS = {
+        (Level.LOCAL, Placement.CLUSTERED, 60, 3):
+            "706d46716c9746cc4bac248a23e65d4d9c59570a0782ed84a7707a269d0f8f93",
+        (Level.LOCAL, Placement.DECLUSTERED, 12, 3):
+            "5a7596d109ab29da12619bbbdcf7333cd20bfa75ee3a978bd8117931c40340aa",
+        (Level.NETWORK, Placement.CLUSTERED, 1000, 10):
+            "1a5d7f6344e01313b5d7252f3f4683396438129044efa0f0a6ae8d234c1524b9",
+    }
+    SLEC_CELLS = {
+        (Level.LOCAL, Placement.CLUSTERED, 120, 3): "0x1.c28f5c28f5c29p-4",
+        (Level.NETWORK, Placement.CLUSTERED, 1000, 10): "0x1.70a3d70a3d70ap-5",
+    }
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_fig5_grid(self, name, batch):
+        grid = burst_pdl_grid(evaluator(name), FIG5_FAILURES, FIG5_RACKS,
+                              trials=20, seed=GOLDEN_SEED, batch=batch)
+        assert sha256(grid) == self.FIG5_GRIDS[name]
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_heavy_grid(self, name, batch):
+        grid = burst_pdl_grid(evaluator(name), HEAVY_FAILURES, HEAVY_RACKS,
+                              trials=20, seed=GOLDEN_SEED, batch=batch)
+        assert sha256(grid) == self.HEAVY_GRIDS[name]
+
+    @pytest.mark.parametrize("name", ["D/D", "C/D"])
+    def test_hard_cell_stats(self, name, batch):
+        from repro.sim.burst import burst_pdl_stats
+
+        agg = burst_pdl_stats(evaluator(name), 60, 3, trials=200,
+                              seed=GOLDEN_SEED, batch=batch)
+        assert aggregate_fields(agg) == self.HARD_CELL_STATS[name]
+
+    @pytest.mark.parametrize("case", list(SLEC_TRIALS))
+    def test_slec_trial_values(self, case, batch):
+        from repro.runtime import TrialRunner
+        from repro.sim.burst import _burst_trial
+
+        level, placement, failures, racks = case
+        ev = SLECBurstEvaluator(SLECScheme(SLECParams(7, 3), level, placement))
+        values = TrialRunner(batch=batch).map(
+            _burst_trial, 200, seed=GOLDEN_SEED,
+            args=(ev, failures, racks, ev.scheme.dc),
+        )
+        assert sha256(values) == self.SLEC_TRIALS[case]
+
+    @pytest.mark.parametrize("case", list(SLEC_CELLS))
+    def test_slec_grid_cell(self, case, batch):
+        level, placement, failures, racks = case
+        ev = SLECBurstEvaluator(SLECScheme(SLECParams(7, 3), level, placement))
+        grid = burst_pdl_grid(ev, [failures], [racks], trials=200,
+                              seed=GOLDEN_SEED, batch=batch)
+        assert float(grid[0, 0]).hex() == self.SLEC_CELLS[case]
