@@ -7,7 +7,8 @@ Three small tools power every probability-of-data-loss computation:
 * :func:`rack_selection_hits_pmf` -- the distribution of "hits" when a
   stripe picks ``width`` distinct racks out of ``R`` and each picked rack
   independently contributes a hit with its own probability (the workhorse of
-  every network-declustered analysis);
+  every network-declustered analysis), with a row-wise twin
+  :func:`rack_selection_hits_pmf_rows` for a block of bursts;
 * :func:`any_of_many` -- numerically stable ``1 - (1-q)^S`` for tiny ``q``
   and astronomically large stripe counts ``S``.
 """
@@ -24,10 +25,13 @@ from ..core.arrays import AnyArray
 __all__ = [
     "hypergeom_tail",
     "rack_selection_hits_pmf",
+    "rack_selection_hits_pmf_rows",
     "any_of_many",
     "exactly_j_cells_over_threshold_pmf",
     "poisson_binomial_pmf",
+    "poisson_binomial_pmf_rows",
     "poisson_binomial_tail",
+    "poisson_binomial_tails",
 ]
 
 
@@ -111,6 +115,57 @@ def rack_selection_hits_pmf(
     return pmf
 
 
+def rack_selection_hits_pmf_rows(
+    hit_probs: AnyArray, width: int, max_hits: int
+) -> AnyArray:
+    """:func:`rack_selection_hits_pmf` of each row of ``hit_probs``.
+
+    ``hit_probs`` is ``(rows, R)``; returns ``(rows, max_hits + 1)``, row
+    ``i`` bit-identical to ``rack_selection_hits_pmf(hit_probs[i], ...)``.
+    Rows are grouped by their count of nonzero racks, and each group runs
+    the scalar dynamic program with every element taking the same
+    operations in the same order, so only the Python loop over racks is
+    shared across the rows of a group.
+    """
+    h = np.asarray(hit_probs, dtype=float)
+    if h.ndim != 2:
+        raise ValueError("hit_probs must be 2-D (one row of racks per burst)")
+    n_rows, n_racks = h.shape
+    if not 0 < width <= n_racks:
+        raise ValueError(f"width must be in [1, {n_racks}]")
+    if max_hits < 1:
+        raise ValueError("max_hits must be >= 1")
+    if np.any((h < 0) | (h > 1)):
+        raise ValueError("hit probabilities must be in [0, 1]")
+
+    out = np.empty((n_rows, max_hits + 1))
+    nonzero = h > 0
+    n_nonzero = nonzero.sum(axis=1)
+    for k in np.unique(n_nonzero).tolist():
+        rows = np.flatnonzero(n_nonzero == k)
+        probs = h[rows][nonzero[rows]].reshape(len(rows), k)  # rack order
+        dp = np.zeros((len(rows), width + 1, max_hits + 1))
+        dp[:, 0, 0] = 1.0
+        for col in range(k):
+            prob = probs[:, col, None, None]
+            new = dp.copy()
+            chosen = dp[:, :-1]
+            new[:, 1:] += chosen * (1 - prob)
+            new[:, 1:, 1:] += chosen[:, :, :-1] * prob
+            new[:, 1:, -1] += chosen[:, :, -1] * prob[:, :, 0]
+            dp = new
+        # The scalar ``pmf += dp[width - j] * C(n_zero, j)`` fold over j,
+        # as one sequential accumulate (the fold starts from an exact 0).
+        n_zero = n_racks - k
+        j = np.arange(min(n_zero, width) + 1)
+        ways = np.array([float(math.comb(n_zero, i)) for i in j.tolist()])
+        terms = dp[:, width - j] * ways[:, None]
+        pmf = np.add.accumulate(terms, axis=1)[:, -1]
+        pmf /= math.comb(n_racks, width)
+        out[rows] = pmf
+    return out
+
+
 def any_of_many(q: float, count: float) -> float:
     """``1 - (1 - q)^count`` computed stably for tiny ``q``, huge ``count``.
 
@@ -148,6 +203,39 @@ def poisson_binomial_tail(probs: AnyArray, threshold: int) -> float:
     if threshold >= len(pmf):
         return 0.0
     return float(pmf[threshold:].sum())
+
+
+def poisson_binomial_pmf_rows(probs: AnyArray) -> AnyArray:
+    """:func:`poisson_binomial_pmf` of each row of a 2-D ``probs``.
+
+    Row ``i`` is bit-identical to ``poisson_binomial_pmf(probs[i])``:
+    adding one Bernoulli ``p`` maps the pmf ``v`` to ``v * (1 - p)`` plus
+    ``v * p`` shifted up by one -- the two products the scalar length-2
+    convolution sums -- so every row shares one loop over the columns.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2:
+        raise ValueError("probs must be 2-D (one row per group)")
+    if np.any((probs < 0) | (probs > 1)):
+        raise ValueError("probabilities must be in [0, 1]")
+    n_rows, n = probs.shape
+    pmf = np.zeros((n_rows, n + 1))
+    pmf[:, 0] = 1.0
+    for j in range(n):
+        p = probs[:, j, None]
+        head = pmf[:, : j + 1].copy()
+        pmf[:, : j + 1] = head * (1.0 - p)
+        pmf[:, 1 : j + 2] += head * p
+    return pmf
+
+
+def poisson_binomial_tails(probs: AnyArray, threshold: int) -> AnyArray:
+    """:func:`poisson_binomial_tail` of each row of a 2-D ``probs``, bit
+    for bit."""
+    pmf = poisson_binomial_pmf_rows(probs)
+    if threshold >= pmf.shape[1]:
+        return np.zeros(len(pmf))
+    return pmf[:, threshold:].sum(axis=1)
 
 
 def exactly_j_cells_over_threshold_pmf(

@@ -22,10 +22,12 @@ and returns the same values the scalar loop would have produced,
   from a single block of replacement draws.  What gets vectorized is
   everything *around* the draws: damage classification, zero-PDL
   detection, failure-chain advancement, closed-form accounting.
-* Trials that enter rare complex states -- a catastrophic pool, failures
-  overlapping inside one pool's repair window, an evaluator with no
-  vector form -- are **demoted**: the original scalar trial function (or
-  scalar evaluator) runs for exactly that trial, on the same context.
+* Trials that enter rare complex states -- a SLEC Loc-Dp burst past its
+  parity budget, failures overlapping inside one pool's repair window,
+  an evaluator with no vector form -- are **demoted**: the original
+  scalar trial function (or scalar evaluator) runs for exactly that
+  trial, on the same context.  MLEC bursts never demote: the MLEC
+  evaluator's rows form evaluates a whole block of them.
   Because ``ctx.rng()`` restarts the trial's private stream, a demotion
   reproduces the scalar path verbatim.  A demoted *burst* goes to the
   scalar evaluator on the sample the batch already drew from that same
@@ -61,6 +63,7 @@ from ..core.arrays import AnyArray
 from ..core.scheme import MLECScheme, SLECScheme
 from ..core.types import Level, Placement, RepairMethod
 from ..runtime.runner import TrialContext
+from ..topology.pools import pool_runs
 from .burst import (
     BurstGenerator,
     MLECBurstEvaluator,
@@ -95,8 +98,9 @@ class BatchStats:
     """How a batched chunk split: trials vectorized vs. demoted to scalar.
 
     ``demotions`` counts demoted trials by reason: ``traced``,
-    ``time_tie`` and ``parity_window`` (simulate), ``undecided`` and
-    ``no_vector_form`` (bursts).
+    ``time_tie`` and ``parity_window`` (simulate), ``undecided`` (SLEC
+    Loc-Dp bursts that can lose data) and ``no_vector_form`` (LRC and
+    SLEC Net-Dp bursts).  MLEC bursts never demote.
     """
 
     batched: int = 0
@@ -190,45 +194,31 @@ def _fold_repeated_add(addend: float, count: int) -> float:
 # ----------------------------------------------------------------------
 # Burst-trial batching (sim.burst drivers)
 # ----------------------------------------------------------------------
-def _pool_damage_counts(
-    samples: AnyArray, divisor: int, n_pools: int
-) -> AnyArray:
-    """Per-trial per-pool failed-disk counts for stacked burst samples.
-
-    ``samples`` is ``(trials, failures)`` of global disk ids; pools are
-    ``id // divisor`` (both local placements and SLEC pools have this
-    shape).  Pure integer arithmetic: exact by construction.
-    """
-    trials = samples.shape[0]
-    keys = samples // divisor + np.arange(trials)[:, None] * n_pools
-    counts = np.bincount(keys.ravel(), minlength=trials * n_pools)
-    return counts.reshape(trials, n_pools)
+def _any_pool_over(pool_ids: AnyArray, limit: int) -> AnyArray:
+    """Per row of ``(trials, failures)`` pool ids: does some pool hold more
+    than ``limit`` of the failures?  Run lengths over each sorted row:
+    exact integer arithmetic, memory linear in the failures."""
+    rows, _pools, counts = pool_runs(pool_ids)
+    over = np.zeros(len(pool_ids), dtype=bool)
+    over[rows[counts > limit]] = True
+    return over
 
 
 def _classify_burst_pdls(evaluator: Any, samples: AnyArray) -> AnyArray | None:
     """Vectorized PDL classification of stacked burst samples.
 
-    Returns a float array aligned with ``samples`` rows: an exact PDL
-    where the evaluator's scalar result is known without integration
-    (``0.0`` below the loss threshold, ``1.0``/``0.0`` for the fully
-    deterministic clustered SLEC placements) and ``NaN`` where the trial
-    must be demoted to the scalar evaluator.  ``None`` means the
-    evaluator has no vector form at all (e.g. LRC): demote everything.
+    Returns a float array aligned with ``samples`` rows: the evaluator's
+    exact PDL wherever the vector form knows it -- every MLEC burst
+    (:meth:`~repro.sim.burst.MLECBurstEvaluator.pdl_of_bursts`), the
+    fully deterministic clustered SLEC placements, and ``0.0`` for SLEC
+    Loc-Dp bursts below the loss threshold -- and ``NaN`` where the trial
+    must be demoted to the scalar evaluator (SLEC Loc-Dp bursts that can
+    lose data).  ``None`` means the evaluator has no vector form at all
+    (SLEC Net-Dp, LRC): demote everything.
     """
     scheme = evaluator.scheme
-    if isinstance(evaluator, MLECBurstEvaluator) and isinstance(
-        scheme, MLECScheme
-    ):
-        if scheme.local_placement is Placement.CLUSTERED:
-            divisor = scheme.params.n_l
-        else:
-            divisor = scheme.dc.disks_per_enclosure
-        n_pools = scheme.dc.total_disks // divisor
-        counts = _pool_damage_counts(samples, divisor, n_pools)
-        n_catastrophic = (counts > scheme.params.p_l).sum(axis=1)
-        values = np.full(samples.shape[0], np.nan)
-        values[n_catastrophic <= scheme.params.p_n] = 0.0
-        return values
+    if isinstance(evaluator, MLECBurstEvaluator):
+        return evaluator.pdl_of_bursts(samples)
 
     if isinstance(evaluator, SLECBurstEvaluator) and isinstance(
         scheme, SLECScheme
@@ -238,23 +228,14 @@ def _classify_burst_pdls(evaluator: Any, samples: AnyArray) -> AnyArray | None:
             return np.zeros(samples.shape[0])
         if scheme.level is Level.LOCAL:
             if scheme.placement is Placement.CLUSTERED:
-                divisor = scheme.params.n
-                n_pools = scheme.dc.total_disks // divisor
-                counts = _pool_damage_counts(samples, divisor, n_pools)
-                return np.where((counts > p).any(axis=1), 1.0, 0.0)
-            divisor = scheme.dc.disks_per_enclosure
-            n_pools = scheme.dc.total_disks // divisor
-            counts = _pool_damage_counts(samples, divisor, n_pools)
-            values = np.full(samples.shape[0], np.nan)
-            values[~(counts > p).any(axis=1)] = 0.0
-            return values
+                over = _any_pool_over(samples // scheme.params.n, p)
+                return np.where(over, 1.0, 0.0)
+            over = _any_pool_over(samples // scheme.dc.disks_per_enclosure, p)
+            return np.where(over, np.nan, 0.0)
         if scheme.placement is Placement.CLUSTERED:
             dpr = scheme.dc.disks_per_rack
-            racks = samples // dpr
-            keys = (racks // scheme.params.n) * dpr + samples % dpr
-            n_keys = (scheme.dc.racks // scheme.params.n + 1) * dpr
-            counts = _pool_damage_counts(keys, 1, n_keys)
-            return np.where((counts > p).any(axis=1), 1.0, 0.0)
+            keys = (samples // dpr // scheme.params.n) * dpr + samples % dpr
+            return np.where(_any_pool_over(keys, p), 1.0, 0.0)
         return None  # network-Dp integrates over placement: no vector form
 
     return None  # LRC (and unknown evaluators): scalar only
@@ -285,9 +266,10 @@ def _burst_trial_batch(
 
     Samples every trial's burst on its private stream through one shared
     generator (one topology construction per chunk instead of one per
-    trial), classifies guaranteed PDLs for the whole chunk at once, and
-    demotes only the undecided trials to the scalar evaluator -- on the
-    burst already drawn, so no trial samples twice.
+    trial), evaluates the whole chunk's PDLs at once
+    (:func:`_classify_burst_pdls`), and demotes only the trials that form
+    cannot decide to the scalar evaluator -- on the burst already drawn,
+    so no trial samples twice.  MLEC trials never demote.
     """
     evaluator, failures, racks, dc = args
     values: list[Any] = []
@@ -338,11 +320,9 @@ def _grid_cell_trial_batch(
     """Batch form of :func:`repro.sim.burst._grid_cell_trial`.
 
     Each context is one heatmap cell; its bursts are drawn and
-    classified as one block, and only bursts the classifier cannot
-    decide go through the scalar evaluator.  The per-cell mean
-    reproduces the scalar fold: adding a guaranteed ``0.0`` is an exact
-    identity, so folding the nonzero PDLs in burst order matches
-    ``total += pdl`` bit-for-bit.
+    evaluated as one block, and only bursts the vector form cannot
+    decide go through the scalar evaluator.  The per-cell mean folds the
+    PDLs in burst order, as the scalar ``total += pdl`` does.
     """
     cells, evaluator, trials, dc = args
     gen = BurstGenerator(dc)
@@ -363,10 +343,11 @@ def _grid_cell_trial_batch(
         if classified is None:
             classified = np.full(trials, np.nan)
             reason = "no_vector_form"
+        pdls = classified.tolist()
         cell_demoted = False
         total = 0.0
         for k in range(trials):  # simlint: disable=SL010 -- scalar fold order
-            pdl = float(classified[k])
+            pdl = pdls[k]
             if pdl != pdl:  # NaN: this burst needs the scalar evaluator
                 pdl = float(evaluator.pdl_of_burst(samples[k]))
                 cell_demoted = True

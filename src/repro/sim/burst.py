@@ -32,8 +32,9 @@ from ..core.arrays import AnyArray
 from ..analysis.combinatorics import (
     any_of_many,
     hypergeom_tail,
-    poisson_binomial_tail,
+    poisson_binomial_tails,
     rack_selection_hits_pmf,
+    rack_selection_hits_pmf_rows,
 )
 from ..core.config import DatacenterConfig
 from ..core.scheme import LRCScheme, MLECScheme, SLECScheme
@@ -193,7 +194,12 @@ def _distinct_sorted(
 # MLEC evaluator
 # ----------------------------------------------------------------------
 class MLECBurstEvaluator:
-    """PDL of one burst under an MLEC scheme (Figure 5's cell values)."""
+    """PDL of bursts under an MLEC scheme (Figure 5's cell values).
+
+    :meth:`pdl_of_bursts` is the one implementation: it evaluates a whole
+    block of bursts with array operations, and :meth:`pdl_of_burst` is
+    its one-row call.
+    """
 
     def __init__(self, scheme: MLECScheme) -> None:
         self.scheme = scheme
@@ -201,54 +207,128 @@ class MLECBurstEvaluator:
         self._stripes_per_pool = scheme.local_stripes_per_pool()
         self._network_stripes = scheme.network_stripes_total()
 
-    def _lost_stripe_prob(self, failed_in_pool: int) -> float:
-        """P[a local stripe of a catastrophic pool is lost]."""
+    def _lost_stripe_probs(self, failed_in_pool: AnyArray) -> AnyArray:
+        """P[a local stripe of a catastrophic pool is lost], per pool."""
         s = self.scheme
         if s.local_placement is Placement.CLUSTERED:
-            return 1.0  # a Cp pool *is* one stripe wide
-        return hypergeom_tail(
-            s.local_pool_disks, failed_in_pool, s.params.n_l, s.params.p_l
-        )
+            return np.ones(len(failed_in_pool))  # a Cp pool *is* one stripe wide
+        counts, inverse = np.unique(failed_in_pool, return_inverse=True)
+        table = np.array([
+            hypergeom_tail(s.local_pool_disks, c, s.params.n_l, s.params.p_l)
+            for c in counts.tolist()
+        ])
+        return table[inverse]
 
     def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
-        """Probability this burst loses data, integrating over placement."""
+        """Probability this burst loses data, integrating over placement:
+        a one-row :meth:`pdl_of_bursts`."""
+        block = np.asarray(failed_disk_ids).reshape(1, -1)
+        return float(self.pdl_of_bursts(block)[0])
+
+    def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
+        """PDL of each row of a ``(bursts, failures)`` block of failed-disk
+        ids (in any order within a row), integrating over placement.
+
+        Row ``i`` is bit-identical to evaluating that burst alone: every
+        float takes the same operations in the same order as a one-row
+        call, whatever the other rows hold.
+        """
         s = self.scheme
-        damage = summarize_mlec_damage(s, failed_disk_ids, self.topo)
-        if damage.n_catastrophic <= s.params.p_n:
-            return 0.0  # cannot reach p_n+1 lost local stripes anywhere
+        block = np.asarray(failed_disk_ids)
+        if block.ndim != 2:
+            raise ValueError("failed_disk_ids must be 2-D (one row per burst)")
+        pdls = np.zeros(len(block))
+        damage = summarize_mlec_damage(s, block, self.topo)
+        burst_of = damage.catastrophic_rows
+        exposed = np.bincount(burst_of, minlength=len(block)) > s.params.p_n
+        if not exposed.any():
+            return pdls  # no burst reaches p_n+1 lost local stripes anywhere
 
-        cat_racks = damage.catastrophic_racks
-        cat_positions = damage.catastrophic_positions
-        cat_counts = damage.catastrophic_counts
-        loss_threshold = s.params.p_n + 1
-
+        keep = exposed[burst_of]
+        burst_of = (np.cumsum(exposed) - 1)[burst_of[keep]]  # among exposed
+        pools = damage.catastrophic_pools[keep]
+        lost = self._lost_stripe_probs(damage.catastrophic_counts[keep])
+        n_exposed = int(exposed.sum())
         if s.network_placement is Placement.CLUSTERED:
-            # Network pools are (rack group, pool position); only pools at
-            # the same position within the same group share network stripes.
-            groups = cat_racks // s.network_group_racks
-            no_loss_log = 0.0
-            keys = groups.astype(np.int64) * s.local_pools_per_rack + cat_positions
-            for key in np.unique(keys):
-                sel = keys == key
-                if int(sel.sum()) < loss_threshold:
-                    continue
-                probs = [self._lost_stripe_prob(c) for c in cat_counts[sel]]
-                q_net = poisson_binomial_tail(np.array(probs), loss_threshold)
-                if q_net >= 1.0:
-                    return 1.0
-                no_loss_log += self._stripes_per_pool * np.log1p(-q_net)
-            return float(-np.expm1(no_loss_log))
+            pdls[exposed] = self._network_clustered_pdls(
+                n_exposed, burst_of, pools, lost
+            )
+        else:
+            pdls[exposed] = self._network_declustered_pdls(
+                n_exposed, burst_of, pools // s.local_pools_per_rack, lost
+            )
+        return pdls
 
-        # Network declustered: one big pool; a network stripe picks n_n
-        # distinct racks, then a pool position uniformly in each rack.  A
-        # "hit" is "this row landed on a catastrophic pool and its local
-        # stripe is lost".
-        hit = np.zeros(s.dc.racks)
+    def _network_clustered_pdls(
+        self, n_bursts: int, burst_of: AnyArray, pools: AnyArray,
+        lost: AnyArray,
+    ) -> AnyArray:
+        """Network pools are (rack group, pool position); only pools at the
+        same position within the same group share network stripes.
+
+        The catastrophic ``pools`` arrive in (burst, pool) order.  Each
+        co-stripe group (burst, key) of at least ``p_n + 1`` pools loses a
+        network stripe with a Poisson-binomial tail over its pools in pool
+        order; a burst folds ``stripes_per_pool * log1p(-q)`` over its
+        groups in key order, and a certain loss (``q >= 1``) makes it 1.0.
+        """
+        s = self.scheme
+        loss_threshold = s.params.p_n + 1
+        per_rack = s.local_pools_per_rack
+        keys = (pools // per_rack // s.network_group_racks) * per_rack + (
+            pools % per_rack
+        )
+        group_ids = burst_of * (int(keys.max()) + 1) + keys
+        order = np.argsort(group_ids, kind="stable")
+        group_ids, lost, burst_of = group_ids[order], lost[order], burst_of[order]
+        starts = np.flatnonzero(np.diff(group_ids, prepend=-1))
+        sizes = np.diff(starts, append=len(order))
+        shared = sizes >= loss_threshold
+        starts, sizes = starts[shared], sizes[shared]
+        if not len(starts):
+            return -np.expm1(np.zeros(n_bursts))  # the empty fold: -0.0
+
+        q_net = np.empty(len(starts))
+        for size in np.unique(sizes).tolist():
+            sel = sizes == size
+            members = starts[sel, None] + np.arange(size)
+            q_net[sel] = poisson_binomial_tails(lost[members], loss_threshold)
+        group_bursts = burst_of[starts]
+        certain = q_net >= 1.0
+        terms = np.zeros(len(starts))
+        terms[~certain] = self._stripes_per_pool * np.log1p(-q_net[~certain])
+        # Fold each burst's terms left to right, one column per group rank.
+        rank = np.arange(len(starts)) - np.searchsorted(group_bursts, group_bursts)
+        columns = np.zeros((int(rank.max()) + 1, n_bursts))
+        columns[rank, group_bursts] = terms
+        no_loss_log = np.zeros(n_bursts)
+        for column in columns:
+            no_loss_log += column
+        pdls = -np.expm1(no_loss_log)
+        pdls[group_bursts[certain]] = 1.0
+        return pdls
+
+    def _network_declustered_pdls(
+        self, n_bursts: int, burst_of: AnyArray, racks: AnyArray,
+        lost: AnyArray,
+    ) -> AnyArray:
+        """Network declustered: one big pool; a network stripe picks n_n
+        distinct racks, then a pool position uniformly in each rack.  A
+        "hit" is "the stripe's row in this rack landed on a catastrophic
+        pool and its local stripe is lost"; a rack's hit probability adds
+        its pools' shares in pool order.
+        """
+        s = self.scheme
+        hit = np.zeros((n_bursts, s.dc.racks))
         per_pool = 1.0 / s.local_pools_per_rack
-        for rack, count in zip(cat_racks, cat_counts):
-            hit[rack] += per_pool * self._lost_stripe_prob(int(count))
-        pmf = rack_selection_hits_pmf(hit, s.params.n_n, loss_threshold)
-        return any_of_many(float(pmf[-1]), self._network_stripes)
+        np.add.at(hit, (burst_of, racks), per_pool * lost)
+        pmf = rack_selection_hits_pmf_rows(hit, s.params.n_n, s.params.p_n + 1)
+        # any_of_many(q, network stripes), burst by burst.
+        q = pmf[:, -1]
+        pdls = np.where(q >= 1.0, 1.0, 0.0)
+        mid = (q > 0.0) & (q < 1.0)
+        pdls[mid] = -np.expm1(self._network_stripes * np.log1p(-q[mid]))
+        return pdls
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ contract: for every trial function, every scheme family, and every
 telemetry collector, ``batch="on"`` must produce byte-identical results
 to ``batch="off"``.  These tests pin that contract -- aggregate fields,
 metrics snapshots, and trace records compare with ``==``, never with
-tolerances -- and exercise both demotion paths (catastrophic pools and
+tolerances -- and exercise both demotion paths (SLEC Loc-Dp bursts and
 window-overlapping repairs) plus the ``auto`` engagement heuristic.
 """
 
@@ -141,13 +141,17 @@ class TestBurstIdentity:
         assert demoted == 40
         assert demotion_reasons(sides["on"][3]) == {"no_vector_form": 40}
 
-    def test_undecided_mlec_trials_demote(self):
-        """D/D at 60/3 mixes guaranteed zeros with demoted loss trials."""
+    def test_dd_hard_cell_never_demotes(self):
+        """D/D at 60/3 loses data in most trials, all evaluated in rows:
+        no trial demotes, and batch on equals batch off."""
         sides = burst_identity_case(mlec_evaluator("D/D"), 60, 3)
+        assert sides["on"][0] == sides["off"][0]
+        assert sides["on"][1] == sides["off"][1]
+        assert sides["on"][2] == sides["off"][2]
         batched, demoted = batch_counters(sides["on"][3])
-        assert batched + demoted == 40
-        assert demoted > 0  # loss-exposed trials need the scalar evaluator
-        assert demotion_reasons(sides["on"][3]) == {"undecided": demoted}
+        assert batched == 40
+        assert demoted == 0
+        assert demotion_reasons(sides["on"][3]) == {}
         assert sides["on"][0].losses > 0
 
     def test_demoted_bursts_are_drawn_once(self, monkeypatch):
@@ -160,7 +164,8 @@ class TestBurstIdentity:
             return sample(gen, failures, racks)
 
         monkeypatch.setattr(BurstGenerator, "sample", counting_sample)
-        sides = burst_identity_case(mlec_evaluator("D/D"), 60, 3)
+        ev = slec_evaluator(Level.LOCAL, Placement.DECLUSTERED)
+        sides = burst_identity_case(ev, 60, 6)
         _batched, demoted = batch_counters(sides["on"][3])
         assert demoted > 0
         # One draw per trial on each side (40 batched + 40 scalar).
@@ -197,6 +202,32 @@ class TestGridIdentity:
         assert auto.tobytes() == off.tobytes()
         batched, demoted = batch_counters(runner)
         assert batched + demoted == 29
+        assert demoted == 0  # MLEC bursts are evaluated in rows
+
+
+class TestBurstBlockMemory:
+    """A cell's bursts are classified in memory linear in its failures:
+    20,000 bursts of 60 failures peak near the sampler's own ~80 MB,
+    where a dense bursts x pools count matrix would need about 1 GB."""
+
+    BOUND_MB = 160
+
+    @pytest.mark.parametrize("evaluator", [
+        slec_evaluator(Level.LOCAL, Placement.CLUSTERED),
+        mlec_evaluator("D/D"),
+    ], ids=["slec-loc-cp", "mlec-dd"])
+    def test_large_cell_peak_memory(self, evaluator):
+        import tracemalloc
+
+        burst_pdl_grid(evaluator, [60], [3], trials=10, seed=1, batch="on")
+        tracemalloc.start()
+        try:
+            burst_pdl_grid(evaluator, [60], [3], trials=20_000, seed=1,
+                           batch="on")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < self.BOUND_MB
 
 
 def simulate_case(scheme_name, afr, mission_time, trials, *, mode,
@@ -542,8 +573,9 @@ class TestOpsTelemetrySegregation:
         runner.map(simulate_trial, 4, seed=2,
                    args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12),
                    metrics=metrics, trace=TraceRecorder())
-        burst_pdl_stats(mlec_evaluator("D/D"), 60, 3, trials=20, seed=1,
-                        runner=runner, metrics=metrics)
+        burst_pdl_stats(slec_evaluator(Level.LOCAL, Placement.DECLUSTERED),
+                        60, 6, trials=20, seed=1, runner=runner,
+                        metrics=metrics)
         result_counters = metrics.snapshot()["counters"]
         assert not any(k.startswith("sim.batch") for k in result_counters)
         reasons = demotion_reasons(runner)

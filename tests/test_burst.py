@@ -224,6 +224,95 @@ class TestGridDriver:
         assert not np.isnan(grid[1, 1])
 
 
+
+def reference_pdl(ev, failed):
+    """One burst's MLEC PDL by the per-burst loop the rows form replaced:
+    an independent oracle for :meth:`MLECBurstEvaluator.pdl_of_bursts`."""
+    from repro.analysis.combinatorics import (
+        any_of_many,
+        hypergeom_tail,
+        poisson_binomial_tail,
+        rack_selection_hits_pmf,
+    )
+    from repro.topology.pools import summarize_mlec_damage
+
+    s = ev.scheme
+
+    def lost(count):
+        if s.local_placement is Placement.CLUSTERED:
+            return 1.0
+        return hypergeom_tail(s.local_pool_disks, int(count), s.params.n_l,
+                              s.params.p_l)
+
+    damage = summarize_mlec_damage(s, failed)
+    if damage.n_catastrophic <= s.params.p_n:
+        return 0.0
+    racks = damage.catastrophic_racks
+    counts = damage.catastrophic_counts
+    threshold = s.params.p_n + 1
+    if s.network_placement is Placement.CLUSTERED:
+        keys = ((racks // s.network_group_racks) * s.local_pools_per_rack
+                + damage.catastrophic_positions)
+        no_loss_log = 0.0
+        for key in np.unique(keys):
+            sel = keys == key
+            if int(sel.sum()) < threshold:
+                continue
+            probs = np.array([lost(c) for c in counts[sel]])
+            q_net = poisson_binomial_tail(probs, threshold)
+            if q_net >= 1.0:
+                return 1.0
+            no_loss_log += s.local_stripes_per_pool() * np.log1p(-q_net)
+        return float(-np.expm1(no_loss_log))
+    hit = np.zeros(s.dc.racks)
+    for rack, count in zip(racks, counts):
+        hit[rack] += (1.0 / s.local_pools_per_rack) * lost(count)
+    pmf = rack_selection_hits_pmf(hit, s.params.n_n, threshold)
+    return any_of_many(float(pmf[-1]), s.network_stripes_total())
+
+
+class TestRowsEvaluator:
+    """``pdl_of_bursts`` row ``i`` is ``pdl_of_burst(S[i])`` and the
+    per-burst oracle, bit for bit (``float.hex`` keeps the sign of 0)."""
+
+    CELLS = [(12, 1), (24, 2), (60, 3), (60, 6), (60, 12), (120, 3),
+             (240, 6), (480, 12), (960, 24), (300, 60)]
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_rows_match_one_row_calls_and_oracle(self, name):
+        ev = evaluator(name)
+        gen = BurstGenerator(rng=np.random.default_rng(17))
+        for failures, racks in self.CELLS:
+            block = gen.sample(failures, racks, size=40)
+            rows = ev.pdl_of_bursts(block)
+            for burst, value in zip(block, rows.tolist()):
+                assert value.hex() == ev.pdl_of_burst(burst).hex()
+                assert value.hex() == reference_pdl(ev, burst).hex()
+
+    @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
+    def test_unsorted_and_duplicate_ids(self, name):
+        ev = evaluator(name)
+        rng = np.random.default_rng(5)
+        block = BurstGenerator(rng=rng).sample(120, 3, size=30)
+        block = rng.permuted(block, axis=1)  # unsorted rows
+        block[::3, 1] = block[::3, 0]  # a duplicated id in every third row
+        rows = ev.pdl_of_bursts(block)
+        for burst, value in zip(block, rows.tolist()):
+            assert value.hex() == ev.pdl_of_burst(burst).hex()
+            assert value.hex() == reference_pdl(ev, burst).hex()
+        assert rows.tobytes() == ev.pdl_of_bursts(np.sort(block, axis=1)).tobytes()
+
+    def test_empty_bursts(self):
+        ev = evaluator("D/D")
+        assert ev.pdl_of_burst(np.array([], dtype=np.int64)) == 0.0
+        assert ev.pdl_of_bursts(np.empty((3, 0), dtype=np.int64)).tolist() == [
+            0.0, 0.0, 0.0
+        ]
+
+    def test_rejects_non_block_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            evaluator("D/D").pdl_of_bursts(np.arange(12))
+
 GOLDEN_SEED = 2026
 FIG5_FAILURES = np.array([12, 24, 36, 48, 60])
 FIG5_RACKS = np.array([1, 2, 3, 6, 12, 30, 60])

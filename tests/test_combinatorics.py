@@ -14,8 +14,11 @@ from repro.analysis.combinatorics import (
     exactly_j_cells_over_threshold_pmf,
     hypergeom_tail,
     poisson_binomial_pmf,
+    poisson_binomial_pmf_rows,
     poisson_binomial_tail,
+    poisson_binomial_tails,
     rack_selection_hits_pmf,
+    rack_selection_hits_pmf_rows,
 )
 
 
@@ -110,6 +113,52 @@ class TestRackSelectionHits:
             rack_selection_hits_pmf(np.array([1.5]), width=1, max_hits=1)
 
 
+def random_hit_rows(rng, n_rows, n_racks):
+    """Hit rows with 0, all, or 1-12 nonzero racks; some exactly 1.0."""
+    rows = np.zeros((n_rows, n_racks))
+    for row in rows:
+        kind = rng.integers(4)
+        if kind == 0:
+            continue  # no nonzero rack
+        k = n_racks if kind == 1 else int(rng.integers(1, 13))
+        racks = rng.choice(n_racks, size=k, replace=False)
+        row[racks] = rng.random(k) ** rng.integers(1, 6)
+        row[racks[rng.random(k) < 0.2]] = 1.0
+    return rows
+
+
+class TestRackSelectionHitsRows:
+    """The rows DP is the scalar DP, bit for bit, row by row."""
+
+    @pytest.mark.parametrize("n_racks,width,max_hits", [
+        (60, 12, 3), (60, 20, 3), (20, 20, 4), (14, 3, 2), (30, 10, 10),
+    ])
+    def test_bitwise_equal_to_scalar(self, n_racks, width, max_hits):
+        rng = np.random.default_rng(n_racks * 100 + width)
+        h = random_hit_rows(rng, 400, n_racks)
+        rows = rack_selection_hits_pmf_rows(h, width, max_hits)
+        assert rows.shape == (400, max_hits + 1)
+        for i, row in enumerate(h):
+            expected = rack_selection_hits_pmf(row, width, max_hits)
+            assert rows[i].tobytes() == expected.tobytes()
+
+    def test_single_row(self):
+        h = np.array([[0.5, 0.25, 0.0, 1.0, 0.1]])
+        assert rack_selection_hits_pmf_rows(h, 3, 2)[0].tobytes() == (
+            rack_selection_hits_pmf(h[0], 3, 2).tobytes()
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="2-D"):
+            rack_selection_hits_pmf_rows(np.array([0.5, 0.5]), 1, 1)
+        with pytest.raises(ValueError, match="width"):
+            rack_selection_hits_pmf_rows(np.array([[0.5]]), 2, 1)
+        with pytest.raises(ValueError, match="max_hits"):
+            rack_selection_hits_pmf_rows(np.array([[0.5]]), 1, 0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rack_selection_hits_pmf_rows(np.array([[0.5], [1.5]]), 1, 1)
+
+
 class TestAnyOfMany:
     def test_small_q_large_count(self):
         # 1 - (1-1e-12)^1e10 ~ 1e-2, far below float loss if done naively.
@@ -175,3 +224,31 @@ class TestCellsOverThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             exactly_j_cells_over_threshold_pmf(6, 20, 121, 3)
+
+
+class TestPoissonBinomialRows:
+    """The rows recurrence is the scalar convolution, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 12, 20, 24])
+    def test_pmf_and_tails_bitwise_equal_to_scalar(self, n):
+        rng = np.random.default_rng(n)
+        probs = rng.random((200, n)) ** rng.integers(1, 9, size=(200, 1))
+        probs[rng.random(probs.shape) < 0.1] = 0.0
+        probs[rng.random(probs.shape) < 0.1] = 1.0
+        pmf = poisson_binomial_pmf_rows(probs)
+        for i, row in enumerate(probs):
+            assert pmf[i].tobytes() == poisson_binomial_pmf(row).tobytes()
+        for threshold in range(n + 2):
+            tails = poisson_binomial_tails(probs, threshold)
+            expected = [poisson_binomial_tail(row, threshold) for row in probs]
+            assert tails.tobytes() == np.array(expected).tobytes()
+
+    def test_single_row_and_validation(self):
+        probs = np.array([[0.1, 0.9, 0.4]])
+        assert poisson_binomial_tails(probs, 2)[0] == poisson_binomial_tail(
+            probs[0], 2
+        )
+        with pytest.raises(ValueError, match="2-D"):
+            poisson_binomial_pmf_rows(np.array([0.5]))
+        with pytest.raises(ValueError):
+            poisson_binomial_pmf_rows(np.array([[1.2]]))
