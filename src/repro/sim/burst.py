@@ -208,16 +208,17 @@ class MLECBurstEvaluator:
         self._network_stripes = scheme.network_stripes_total()
 
     def _lost_stripe_probs(self, failed_in_pool: AnyArray) -> AnyArray:
-        """P[a local stripe of a catastrophic pool is lost], per pool."""
+        """P[a local stripe of a catastrophic pool is lost], per pool
+        (any array shape)."""
         s = self.scheme
         if s.local_placement is Placement.CLUSTERED:
-            return np.ones(len(failed_in_pool))  # a Cp pool *is* one stripe wide
+            return np.ones(failed_in_pool.shape)  # a Cp pool *is* one stripe wide
         counts, inverse = np.unique(failed_in_pool, return_inverse=True)
         table = np.array([
             hypergeom_tail(s.local_pool_disks, c, s.params.n_l, s.params.p_l)
             for c in counts.tolist()
         ])
-        return table[inverse]
+        return table[inverse].reshape(failed_in_pool.shape)
 
     def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
         """Probability this burst loses data, integrating over placement:
@@ -247,21 +248,21 @@ class MLECBurstEvaluator:
         keep = exposed[burst_of]
         burst_of = (np.cumsum(exposed) - 1)[burst_of[keep]]  # among exposed
         pools = damage.catastrophic_pools[keep]
-        lost = self._lost_stripe_probs(damage.catastrophic_counts[keep])
+        counts = damage.catastrophic_counts[keep]
         n_exposed = int(exposed.sum())
         if s.network_placement is Placement.CLUSTERED:
             pdls[exposed] = self._network_clustered_pdls(
-                n_exposed, burst_of, pools, lost
+                n_exposed, burst_of, pools, counts
             )
         else:
             pdls[exposed] = self._network_declustered_pdls(
-                n_exposed, burst_of, pools // s.local_pools_per_rack, lost
+                n_exposed, burst_of, pools // s.local_pools_per_rack, counts
             )
         return pdls
 
     def _network_clustered_pdls(
         self, n_bursts: int, burst_of: AnyArray, pools: AnyArray,
-        lost: AnyArray,
+        counts: AnyArray,
     ) -> AnyArray:
         """Network pools are (rack group, pool position); only pools at the
         same position within the same group share network stripes.
@@ -271,6 +272,9 @@ class MLECBurstEvaluator:
         network stripe with a Poisson-binomial tail over its pools in pool
         order; a burst folds ``stripes_per_pool * log1p(-q)`` over its
         groups in key order, and a certain loss (``q >= 1``) makes it 1.0.
+        Lost-stripe probabilities are looked up for those groups' pools
+        only, so a scheme whose bursts never share a group never loads
+        the hypergeometric machinery.
         """
         s = self.scheme
         loss_threshold = s.params.p_n + 1
@@ -280,7 +284,7 @@ class MLECBurstEvaluator:
         )
         group_ids = burst_of * (int(keys.max()) + 1) + keys
         order = np.argsort(group_ids, kind="stable")
-        group_ids, lost, burst_of = group_ids[order], lost[order], burst_of[order]
+        group_ids, counts, burst_of = group_ids[order], counts[order], burst_of[order]
         starts = np.flatnonzero(np.diff(group_ids, prepend=-1))
         sizes = np.diff(starts, append=len(order))
         shared = sizes >= loss_threshold
@@ -291,8 +295,8 @@ class MLECBurstEvaluator:
         q_net = np.empty(len(starts))
         for size in np.unique(sizes).tolist():
             sel = sizes == size
-            members = starts[sel, None] + np.arange(size)
-            q_net[sel] = poisson_binomial_tails(lost[members], loss_threshold)
+            lost = self._lost_stripe_probs(counts[starts[sel, None] + np.arange(size)])
+            q_net[sel] = poisson_binomial_tails(lost, loss_threshold)
         group_bursts = burst_of[starts]
         certain = q_net >= 1.0
         terms = np.zeros(len(starts))
@@ -310,7 +314,7 @@ class MLECBurstEvaluator:
 
     def _network_declustered_pdls(
         self, n_bursts: int, burst_of: AnyArray, racks: AnyArray,
-        lost: AnyArray,
+        counts: AnyArray,
     ) -> AnyArray:
         """Network declustered: one big pool; a network stripe picks n_n
         distinct racks, then a pool position uniformly in each rack.  A
@@ -321,7 +325,7 @@ class MLECBurstEvaluator:
         s = self.scheme
         hit = np.zeros((n_bursts, s.dc.racks))
         per_pool = 1.0 / s.local_pools_per_rack
-        np.add.at(hit, (burst_of, racks), per_pool * lost)
+        np.add.at(hit, (burst_of, racks), per_pool * self._lost_stripe_probs(counts))
         pmf = rack_selection_hits_pmf_rows(hit, s.params.n_n, s.params.p_n + 1)
         # any_of_many(q, network stripes), burst by burst.
         q = pmf[:, -1]

@@ -302,6 +302,25 @@ class TestRowsEvaluator:
             assert value.hex() == reference_pdl(ev, burst).hex()
         assert rows.tobytes() == ev.pdl_of_bursts(np.sort(block, axis=1)).tobytes()
 
+    def test_unshared_groups_skip_the_lost_stripe_lookup(self, monkeypatch):
+        """C/D: three catastrophic enclosures, but no three at one position
+        of one rack group, so no network stripe is exposed and the
+        hypergeometric lookup (scipy) is never reached."""
+        import repro.sim.burst as burst_module
+
+        def forbidden(*args):
+            raise AssertionError("hypergeom_tail called")
+
+        topo = DatacenterTopology()
+        burst = np.array([
+            topo.disk_id(rack, enclosure, slot)
+            for rack, enclosure in ((0, 0), (1, 0), (2, 1))
+            for slot in range(4)
+        ])
+        monkeypatch.setattr(burst_module, "hypergeom_tail", forbidden)
+        pdl = evaluator("C/D").pdl_of_burst(burst)
+        assert pdl.hex() == (-0.0).hex()
+
     def test_empty_bursts(self):
         ev = evaluator("D/D")
         assert ev.pdl_of_burst(np.array([], dtype=np.int64)) == 0.0
