@@ -154,8 +154,9 @@ def rack_selection_hits_pmf_rows(
             new[:, 1:, 1:] += chosen[:, :, :-1] * prob
             new[:, 1:, -1] += chosen[:, :, -1] * prob[:, :, 0]
             dp = new
-        # The scalar ``pmf += dp[width - j] * C(n_zero, j)`` fold over j,
-        # as one sequential accumulate (the fold starts from an exact 0).
+        # The scalar ``pmf += dp[width - j] * C(n_zero, j)`` fold over j as
+        # one sequential accumulate: its first partial sum, the first term,
+        # equals the scalar's ``0.0 + term`` because no term is -0.0.
         n_zero = n_racks - k
         j = np.arange(min(n_zero, width) + 1)
         ways = np.array([float(math.comb(n_zero, i)) for i in j.tolist()])
