@@ -302,6 +302,32 @@ class TestRowsEvaluator:
             assert value.hex() == reference_pdl(ev, burst).hex()
         assert rows.tobytes() == ev.pdl_of_bursts(np.sort(block, axis=1)).tobytes()
 
+    def test_many_shared_groups_fold_in_key_order(self):
+        """C/D bursts with six co-stripe groups of 3-6 catastrophic
+        enclosures, each losing with its own q: the per-burst fold over
+        groups must keep key order.  Disks of 2 GB keep the PDLs small,
+        where the fold's last bits survive ``-expm1``."""
+        from repro.core.config import DatacenterConfig
+
+        dc = DatacenterConfig(disk_capacity_bytes=2 * 10**9)
+        ev = MLECBurstEvaluator(mlec_scheme_from_name("C/D", PARAMS, dc))
+        topo = DatacenterTopology(dc)
+        rng = np.random.default_rng(11)
+        bursts = []
+        for _ in range(40):
+            racks = rng.choice(12, size=6, replace=False)  # rack group 0
+            burst = []
+            for enclosure, size in enumerate(rng.permutation([3, 4, 5, 6, 3, 4])):
+                for rack in rng.choice(racks, size=size, replace=False):
+                    burst += [topo.disk_id(int(rack), enclosure, slot)
+                              for slot in range(4 + int(rng.integers(3)))]
+            bursts.append(burst[:100])
+        block = np.array(bursts)
+        rows = ev.pdl_of_bursts(block)
+        assert 0.0 < rows.min() and rows.max() < 0.5
+        for burst, value in zip(block, rows.tolist()):
+            assert value.hex() == reference_pdl(ev, burst).hex()
+
     def test_unshared_groups_skip_the_lost_stripe_lookup(self, monkeypatch):
         """C/D: three catastrophic enclosures, but no three at one position
         of one rack group, so no network stripe is exposed and the
