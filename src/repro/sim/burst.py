@@ -289,8 +289,6 @@ class MLECBurstEvaluator:
         sizes = np.diff(starts, append=len(order))
         shared = sizes >= loss_threshold
         starts, sizes = starts[shared], sizes[shared]
-        if not len(starts):
-            return -np.expm1(np.zeros(n_bursts))  # the empty fold: -0.0
 
         q_net = np.empty(len(starts))
         for size in np.unique(sizes).tolist():
@@ -302,8 +300,10 @@ class MLECBurstEvaluator:
         terms = np.zeros(len(starts))
         terms[~certain] = self._stripes_per_pool * np.log1p(-q_net[~certain])
         # Fold each burst's terms left to right, one column per group rank.
+        # A burst with no shared group folds nothing, and -expm1(0.0) is
+        # the -0.0 the per-burst loop returned for it.
         rank = np.arange(len(starts)) - np.searchsorted(group_bursts, group_bursts)
-        columns = np.zeros((int(rank.max()) + 1, n_bursts))
+        columns = np.zeros((int(rank.max(initial=-1)) + 1, n_bursts))
         columns[rank, group_bursts] = terms
         no_loss_log = np.zeros(n_bursts)
         for column in columns:
