@@ -414,11 +414,35 @@ class TestGoldenArtifacts:
             "5a7596d109ab29da12619bbbdcf7333cd20bfa75ee3a978bd8117931c40340aa",
         (Level.NETWORK, Placement.CLUSTERED, 1000, 10):
             "1a5d7f6344e01313b5d7252f3f4683396438129044efa0f0a6ae8d234c1524b9",
+        (Level.NETWORK, Placement.DECLUSTERED, 24, 12):
+            "1632bc9aca7efc93d75ee34dc469924c5061db79927b829801feb1fb651909fa",
     }
     SLEC_CELLS = {
         (Level.LOCAL, Placement.CLUSTERED, 120, 3): "0x1.c28f5c28f5c29p-4",
         (Level.NETWORK, Placement.CLUSTERED, 1000, 10): "0x1.70a3d70a3d70ap-5",
+        (Level.NETWORK, Placement.DECLUSTERED, 24, 12): "0x1.e93152d5adc5ap-1",
     }
+    #: Declustered SLEC on 2 MB disks (15 chunks each): every trial's PDL
+    #: is fractional, so the stripe-count fold's last bits are pinned.
+    SMALL_DISK_TRIALS = {
+        (Level.LOCAL, Placement.DECLUSTERED, 60, 3):
+            "470e386f2f03f4c25acd3ae9688e673e9c02bd70019005f76640272f42086ba8",
+        (Level.NETWORK, Placement.DECLUSTERED, 60, 30):
+            "833cdd2e1e02a1f6fcd2547038e63c11e4b88010e2ca97d9d51266660fbe6eb2",
+    }
+    #: Figure 16's (60 failures, 60 racks) cell, from the bench's own
+    #: grid; the rendered heatmap is the bench's committed table.
+    LRC_FIG16_CELL = "0x1.17a10ca2acd5fp-10"
+    LRC_FIG16_TABLE = (
+        "Figure 16: PDL of (14,2,4) LRC-Dp under failure bursts\n"
+        "   PDL ramp: '.'<=1e-07 ... '#'~1\n"
+        "12 .....  \n"
+        "24 ....1  \n"
+        "36 ...123 \n"
+        "48 ...233 \n"
+        "60 ...2344\n"
+        "   cols: 1 3 5 6 10 30 60"
+    )
 
     @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
     def test_fig5_grid(self, name, batch):
@@ -460,3 +484,35 @@ class TestGoldenArtifacts:
         grid = burst_pdl_grid(ev, [failures], [racks], trials=200,
                               seed=GOLDEN_SEED, batch=batch)
         assert float(grid[0, 0]).hex() == self.SLEC_CELLS[case]
+
+    @pytest.mark.parametrize("case", list(SMALL_DISK_TRIALS))
+    def test_small_disk_slec_trial_values(self, case, batch):
+        from repro.core.config import DatacenterConfig
+        from repro.runtime import TrialRunner
+        from repro.sim.burst import _burst_trial
+
+        level, placement, failures, racks = case
+        dc = DatacenterConfig(disk_capacity_bytes=2 * 10**6)
+        ev = SLECBurstEvaluator(
+            SLECScheme(SLECParams(7, 3), level, placement, dc))
+        values = TrialRunner(batch=batch).map(
+            _burst_trial, 200, seed=GOLDEN_SEED, args=(ev, failures, racks, dc),
+        )
+        assert all(0.0 < v < 1.0 for v in values)
+        assert sha256(values) == self.SMALL_DISK_TRIALS[case]
+
+    def test_lrc_fig16_cell(self, batch):
+        from repro.reporting import format_heatmap
+        from repro.runtime import TrialRunner
+
+        failures = np.array([12, 24, 36, 48, 60])
+        racks = np.array([1, 3, 5, 6, 10, 30, 60])
+        ev = LRCBurstEvaluator(LRCScheme(LRCParams(14, 2, 4)))
+        grid = burst_pdl_grid(ev, failures, racks, trials=25, seed=16,
+                              runner=TrialRunner(batch=batch))
+        assert float(grid[4, 6]).hex() == self.LRC_FIG16_CELL
+        text = format_heatmap(
+            grid, failures.tolist(), racks.tolist(),
+            title="Figure 16: PDL of (14,2,4) LRC-Dp under failure bursts",
+        )
+        assert text == self.LRC_FIG16_TABLE
