@@ -320,12 +320,15 @@ class MLECBurstEvaluator:
         distinct racks, then a pool position uniformly in each rack.  A
         "hit" is "the stripe's row in this rack landed on a catastrophic
         pool and its local stripe is lost"; a rack's hit probability adds
-        its pools' shares in pool order.
+        its pools' shares in pool order.  A rack whose every pool is lost
+        sums to just over 1.0 (48 x 1/48 is 1.0000000000000007), so the
+        sum is clamped at 1.0.
         """
         s = self.scheme
         hit = np.zeros((n_bursts, s.dc.racks))
         per_pool = 1.0 / s.local_pools_per_rack
         np.add.at(hit, (burst_of, racks), per_pool * self._lost_stripe_probs(counts))
+        np.minimum(hit, 1.0, out=hit)
         pmf = rack_selection_hits_pmf_rows(hit, s.params.n_n, s.params.p_n + 1)
         # any_of_many(q, network stripes), burst by burst.
         q = pmf[:, -1]

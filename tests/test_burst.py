@@ -347,6 +347,21 @@ class TestRowsEvaluator:
         pdl = evaluator("C/D").pdl_of_burst(burst)
         assert pdl.hex() == (-0.0).hex()
 
+    def test_fully_lost_rack_hits_at_most_one(self):
+        """D/C: 960 failures over 3 racks lose every local pool of some
+        rack, whose 48 shares of 1/48 sum to 1.0000000000000007; the hit
+        is clamped at 1.0 instead of failing the rack-selection DP."""
+        ev = MLECBurstEvaluator(mlec_scheme_from_name("D/C", PARAMS))
+        share, hit = 1.0 / ev.scheme.local_pools_per_rack, 0.0
+        for _pool in range(ev.scheme.local_pools_per_rack):
+            hit += share  # the rack's hit, folded in pool order
+        assert hit > 1.0
+        block = BurstGenerator(seed=3).sample(960, 3, size=5)
+        rows = ev.pdl_of_bursts(block)
+        assert rows.tolist() == [1.0] * 5
+        for burst, value in zip(block, rows.tolist()):
+            assert value.hex() == ev.pdl_of_burst(burst).hex()
+
     def test_empty_bursts(self):
         ev = evaluator("D/D")
         assert ev.pdl_of_burst(np.array([], dtype=np.int64)) == 0.0
