@@ -5,8 +5,8 @@ call the trial function, collect the value.  That shape is what makes the
 determinism contract simple -- trial ``i`` always consumes its own
 keyed stream -- but it leaves easy vector wins on the table: most
 trials of the paper's sweeps are *simple* (no catastrophe, no overlapping
-repairs, a guaranteed-zero PDL) and their outcome can be computed for a
-whole chunk at once with numpy.
+repairs) and their outcome can be computed for a whole chunk at once
+with numpy.
 
 This module is that fast path.  A *batch implementation* takes every
 :class:`~repro.runtime.TrialContext` of a chunk plus the sweep's ``args``
@@ -20,18 +20,15 @@ and returns the same values the scalar loop would have produced,
   (``rng.exponential(scale, size=K)`` equals K scalar calls bit for
   bit), which is how a simulate trial's whole failure chain is merged
   from a single block of replacement draws.  What gets vectorized is
-  everything *around* the draws: damage classification, zero-PDL
-  detection, failure-chain advancement, closed-form accounting.
-* Trials that enter rare complex states -- a SLEC Loc-Dp burst past its
-  parity budget, failures overlapping inside one pool's repair window,
-  an evaluator with no vector form -- are **demoted**: the original
-  scalar trial function (or scalar evaluator) runs for exactly that
-  trial, on the same context.  MLEC bursts never demote: the MLEC
-  evaluator's rows form evaluates a whole block of them.
-  Because ``ctx.rng()`` restarts the trial's private stream, a demotion
-  reproduces the scalar path verbatim.  A demoted *burst* goes to the
-  scalar evaluator on the sample the batch already drew from that same
-  stream, so it is never drawn twice.
+  everything *around* the draws: burst evaluation, failure-chain
+  advancement, closed-form accounting.
+* Burst trials never demote: every burst evaluator's rows form
+  (``pdl_of_bursts``) evaluates a whole chunk of bursts.  Simulate
+  trials that enter rare complex states -- failures overlapping inside
+  one pool's repair window, an exact time tie -- are **demoted**: the
+  original scalar trial function runs for exactly that trial, on the
+  same context.  Because ``ctx.rng()`` restarts the trial's private
+  stream, a demotion reproduces the scalar path verbatim.
 * Telemetry is reproduced exactly: counters are incremented with the same
   exact-integer / same-fold-order arithmetic the scalar loop uses, and
   per-trial trace records are written through each context's own
@@ -60,17 +57,10 @@ from typing import Any
 import numpy as np
 
 from ..core.arrays import AnyArray
-from ..core.scheme import MLECScheme, SLECScheme
-from ..core.types import Level, Placement, RepairMethod
+from ..core.scheme import MLECScheme
+from ..core.types import RepairMethod
 from ..runtime.runner import TrialContext
-from ..topology.pools import pool_runs
-from .burst import (
-    BurstGenerator,
-    MLECBurstEvaluator,
-    SLECBurstEvaluator,
-    _burst_trial,
-    _grid_cell_trial,
-)
+from .burst import BurstGenerator, _burst_trial
 from .failures import ExponentialFailures, initial_failures
 from .simulator import MLECSystemSimulator, SystemSimResult, record_run_metrics
 
@@ -85,8 +75,7 @@ __all__ = [
 ]
 
 #: ``batch="auto"`` engages the batch engine only for chunks at least
-#: this large (unless the implementation registered its own minimum);
-#: below it the array setup costs more than it saves.
+#: this large; below it the array setup costs more than it saves.
 BATCH_MIN_TRIALS = 8
 
 #: Valid values of the ``batch`` knob.
@@ -97,10 +86,8 @@ BATCH_MODES = ("auto", "on", "off")
 class BatchStats:
     """How a batched chunk split: trials vectorized vs. demoted to scalar.
 
-    ``demotions`` counts demoted trials by reason: ``traced``,
-    ``time_tie`` and ``parity_window`` (simulate), ``undecided`` (SLEC
-    Loc-Dp bursts that can lose data) and ``no_vector_form`` (LRC and
-    SLEC Net-Dp bursts).  MLEC bursts never demote.
+    ``demotions`` counts demoted simulate trials by reason: ``traced``,
+    ``time_tie`` and ``parity_window``.  Burst trials never demote.
     """
 
     batched: int = 0
@@ -118,13 +105,12 @@ BatchImpl = Callable[
     tuple[list[Any], BatchStats],
 ]
 
-#: Scalar trial function -> (batch implementation, ``auto`` chunk minimum).
-_IMPLS: dict[Callable[..., Any], tuple[BatchImpl, int]] = {}
+#: Scalar trial function -> its batch implementation.
+_IMPLS: dict[Callable[..., Any], BatchImpl] = {}
 
 
 def register_batch_impl(
     scalar_fn: Callable[..., Any],
-    min_trials: int = BATCH_MIN_TRIALS,
 ) -> Callable[[BatchImpl], BatchImpl]:
     """Register a batch implementation for a scalar trial function.
 
@@ -133,15 +119,12 @@ def register_batch_impl(
         @register_batch_impl(_burst_trial)
         def _burst_trial_batch(fn, contexts, args): ...
 
-    ``min_trials`` is the smallest chunk ``batch="auto"`` hands to the
-    implementation; a trial function whose every trial is itself a block
-    of work (a heatmap cell of many bursts) registers ``1``.  The
-    registry is keyed by the function object itself, so a worker that
+    The registry is keyed by the function object itself, so a worker that
     unpickled ``scalar_fn`` by reference resolves the same entry.
     """
 
     def decorate(impl: BatchImpl) -> BatchImpl:
-        _IMPLS[scalar_fn] = (impl, min_trials)
+        _IMPLS[scalar_fn] = impl
         return impl
 
     return decorate
@@ -149,8 +132,7 @@ def register_batch_impl(
 
 def batch_impl_for(fn: Callable[..., Any]) -> BatchImpl | None:
     """The registered batch implementation for ``fn``, if any."""
-    entry = _IMPLS.get(fn)
-    return entry[0] if entry is not None else None
+    return _IMPLS.get(fn)
 
 
 def resolve_batch_mode(mode: str, fn: Callable[..., Any], n_trials: int) -> bool:
@@ -158,20 +140,17 @@ def resolve_batch_mode(mode: str, fn: Callable[..., Any], n_trials: int) -> bool
 
     ``"off"`` never batches; ``"on"`` batches whenever ``fn`` has a
     registered implementation; ``"auto"`` additionally requires the chunk
-    to reach the implementation's registered minimum (by default
-    :data:`BATCH_MIN_TRIALS`) so tiny chunks skip the setup cost.  The
-    decision affects speed only -- results are bit-identical either way.
+    to reach :data:`BATCH_MIN_TRIALS` so tiny chunks skip the setup
+    cost.  The decision affects speed only -- results are bit-identical
+    either way.
     """
     if mode not in BATCH_MODES:
         raise ValueError(
             f"batch mode must be one of {BATCH_MODES}, got {mode!r}"
         )
-    entry = _IMPLS.get(fn)
-    if mode == "off" or entry is None:
+    if mode == "off" or fn not in _IMPLS:
         return False
-    if mode == "on":
-        return True
-    return n_trials >= entry[1]
+    return mode == "on" or n_trials >= BATCH_MIN_TRIALS
 
 
 # ----------------------------------------------------------------------
@@ -194,68 +173,6 @@ def _fold_repeated_add(addend: float, count: int) -> float:
 # ----------------------------------------------------------------------
 # Burst-trial batching (sim.burst drivers)
 # ----------------------------------------------------------------------
-def _any_pool_over(pool_ids: AnyArray, limit: int) -> AnyArray:
-    """Per row of ``(trials, failures)`` pool ids: does some pool hold more
-    than ``limit`` of the failures?  Run lengths over each sorted row:
-    exact integer arithmetic, memory linear in the failures."""
-    rows, _pools, counts = pool_runs(pool_ids)
-    over = np.zeros(len(pool_ids), dtype=bool)
-    over[rows[counts > limit]] = True
-    return over
-
-
-def _classify_burst_pdls(evaluator: Any, samples: AnyArray) -> AnyArray | None:
-    """Vectorized PDL classification of stacked burst samples.
-
-    Returns a float array aligned with ``samples`` rows: the evaluator's
-    exact PDL wherever the vector form knows it -- every MLEC burst
-    (:meth:`~repro.sim.burst.MLECBurstEvaluator.pdl_of_bursts`), the
-    fully deterministic clustered SLEC placements, and ``0.0`` for SLEC
-    Loc-Dp bursts below the loss threshold -- and ``NaN`` where the trial
-    must be demoted to the scalar evaluator (SLEC Loc-Dp bursts that can
-    lose data).  ``None`` means the evaluator has no vector form at all
-    (SLEC Net-Dp, LRC): demote everything.
-    """
-    scheme = evaluator.scheme
-    if isinstance(evaluator, MLECBurstEvaluator):
-        return evaluator.pdl_of_bursts(samples)
-
-    if isinstance(evaluator, SLECBurstEvaluator) and isinstance(
-        scheme, SLECScheme
-    ):
-        p = scheme.params.p
-        if samples.shape[1] <= p:
-            return np.zeros(samples.shape[0])
-        if scheme.level is Level.LOCAL:
-            if scheme.placement is Placement.CLUSTERED:
-                over = _any_pool_over(samples // scheme.params.n, p)
-                return np.where(over, 1.0, 0.0)
-            over = _any_pool_over(samples // scheme.dc.disks_per_enclosure, p)
-            return np.where(over, np.nan, 0.0)
-        if scheme.placement is Placement.CLUSTERED:
-            dpr = scheme.dc.disks_per_rack
-            keys = (samples // dpr // scheme.params.n) * dpr + samples % dpr
-            return np.where(_any_pool_over(keys, p), 1.0, 0.0)
-        return None  # network-Dp integrates over placement: no vector form
-
-    return None  # LRC (and unknown evaluators): scalar only
-
-
-def _slec_trivial_zero(evaluator: Any, failures: int) -> bool:
-    """True when every burst of this size is a guaranteed-zero PDL.
-
-    The SLEC evaluator returns ``0.0`` whenever the burst has at most
-    ``p`` failures -- independent of *which* disks failed -- so the
-    sample itself is never needed.  The trial's generator is private and
-    the sample is observed nowhere else, so skipping the draw entirely is
-    exact.
-    """
-    return (
-        isinstance(evaluator, SLECBurstEvaluator)
-        and failures <= evaluator.scheme.params.p
-    )
-
-
 @register_batch_impl(_burst_trial)
 def _burst_trial_batch(
     fn: Callable[..., Any],
@@ -266,98 +183,29 @@ def _burst_trial_batch(
 
     Samples every trial's burst on its private stream through one shared
     generator (one topology construction per chunk instead of one per
-    trial), evaluates the whole chunk's PDLs at once
-    (:func:`_classify_burst_pdls`), and demotes only the trials that form
-    cannot decide to the scalar evaluator -- on the burst already drawn,
-    so no trial samples twice.  MLEC trials never demote.
+    trial), then evaluates the chunk with one
+    :meth:`~repro.sim.burst.BurstEvaluator.pdl_of_bursts` call, whose
+    row ``i`` is the scalar trial's value.  No trial demotes.
     """
     evaluator, failures, racks, dc = args
-    values: list[Any] = []
-    batched = 0
-    demotions: Counter[str] = Counter()
-    reason = "undecided"
-
-    if _slec_trivial_zero(evaluator, failures):
-        classified: AnyArray | None = np.zeros(len(contexts))
-    else:
-        gen = BurstGenerator(dc)
-        samples = np.empty((len(contexts), failures), dtype=np.int64)
-        # Sampling replays each trial's private stream: the draws are
-        # inherently per-trial and stay scalar by design.
-        for i, ctx in enumerate(contexts):  # simlint: disable=SL010
-            gen.rng = ctx.rng()
-            samples[i] = gen.sample(failures, racks)
-        classified = _classify_burst_pdls(evaluator, samples)
-        if classified is None:
-            classified = np.full(len(contexts), np.nan)
-            reason = "no_vector_form"
-
+    gen = BurstGenerator(dc)
+    samples = np.empty((len(contexts), failures), dtype=np.int64)
+    # Sampling replays each trial's private stream: the draws are
+    # inherently per-trial and stay scalar by design.
     for i, ctx in enumerate(contexts):  # simlint: disable=SL010
-        pdl = float(classified[i])
-        if pdl != pdl:  # NaN: the scalar evaluator decides this burst
-            pdl = evaluator.pdl_of_burst(samples[i])
-            demotions[reason] += 1
-        else:
-            batched += 1
+        gen.rng = ctx.rng()
+        samples[i] = gen.sample(failures, racks)
+    values = evaluator.pdl_of_bursts(samples).tolist()
+    # Each trial's telemetry goes to its own collectors.
+    for ctx, pdl in zip(contexts, values):  # simlint: disable=SL010
         if ctx.metrics is not None:
             ctx.metrics.counter("burst.trials").inc()
             ctx.metrics.counter("burst.loss_trials").inc(int(pdl > 0.0))
         if ctx.trace is not None:
             ctx.trace.event(
-                0.0, "burst.trial", failures=failures, racks=racks,
-                pdl=float(pdl),
+                0.0, "burst.trial", failures=failures, racks=racks, pdl=pdl,
             )
-        values.append(pdl)
-    return values, BatchStats(batched, dict(demotions))
-
-
-@register_batch_impl(_grid_cell_trial, min_trials=1)
-def _grid_cell_trial_batch(
-    fn: Callable[..., Any],
-    contexts: Sequence[TrialContext],
-    args: tuple[Any, ...],
-) -> tuple[list[Any], BatchStats]:
-    """Batch form of :func:`repro.sim.burst._grid_cell_trial`.
-
-    Each context is one heatmap cell; its bursts are drawn and
-    evaluated as one block, and only bursts the vector form cannot
-    decide go through the scalar evaluator.  The per-cell mean folds the
-    PDLs in burst order, as the scalar ``total += pdl`` does.
-    """
-    cells, evaluator, trials, dc = args
-    gen = BurstGenerator(dc)
-    values: list[Any] = []
-    batched = 0
-    demotions: Counter[str] = Counter()
-
-    for ctx in contexts:  # simlint: disable=SL010 -- per-cell private streams
-        _i, _j, failures, racks = cells[ctx.index]
-        if _slec_trivial_zero(evaluator, failures):
-            values.append(0.0)
-            batched += 1
-            continue
-        gen.rng = ctx.rng()
-        samples = gen.sample(failures, racks, size=trials)
-        classified = _classify_burst_pdls(evaluator, samples)
-        reason = "undecided"
-        if classified is None:
-            classified = np.full(trials, np.nan)
-            reason = "no_vector_form"
-        pdls = classified.tolist()
-        cell_demoted = False
-        total = 0.0
-        for k in range(trials):  # simlint: disable=SL010 -- scalar fold order
-            pdl = pdls[k]
-            if pdl != pdl:  # NaN: this burst needs the scalar evaluator
-                pdl = float(evaluator.pdl_of_burst(samples[k]))
-                cell_demoted = True
-            total += pdl
-        values.append(total / trials)
-        if cell_demoted:
-            demotions[reason] += 1
-        else:
-            batched += 1
-    return values, BatchStats(batched, dict(demotions))
+    return values, BatchStats(len(contexts))
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,8 @@ import numpy as np
 
 from ..core.arrays import AnyArray
 from ..analysis.combinatorics import (
-    any_of_many,
     hypergeom_tail,
     poisson_binomial_tails,
-    rack_selection_hits_pmf,
     rack_selection_hits_pmf_rows,
 )
 from ..core.config import DatacenterConfig
@@ -42,7 +40,7 @@ from ..core.types import Level, Placement
 from ..obs import MetricsRegistry, TraceRecorder
 from ..runtime import TrialAggregate, TrialContext, TrialRunner
 from ..topology.datacenter import DatacenterTopology
-from ..topology.pools import summarize_mlec_damage
+from ..topology.pools import pool_runs, summarize_mlec_damage
 
 __all__ = [
     "BurstEvaluator",
@@ -61,8 +59,14 @@ class BurstEvaluator(Protocol):
 
     scheme: Any
 
+    def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
+        """PDL of each row of a ``(bursts, failures)`` block of failed-disk
+        ids; row ``i`` is bit-identical to evaluating that burst alone."""
+        ...
+
     def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
-        """PDL of one concrete failed-disk set."""
+        """PDL of one concrete failed-disk set: a one-row
+        :meth:`pdl_of_bursts`."""
         ...
 
 
@@ -191,15 +195,102 @@ def _distinct_sorted(
 
 
 # ----------------------------------------------------------------------
+# Rows building blocks shared by the evaluators
+# ----------------------------------------------------------------------
+class _RowsEvaluator:
+    """Base of the burst evaluators: :meth:`pdl_of_bursts` is each
+    scheme's one implementation, and :meth:`pdl_of_burst` its one-row
+    call."""
+
+    def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
+        raise NotImplementedError
+
+    def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
+        """Probability this burst loses data, integrating over placement:
+        a one-row :meth:`pdl_of_bursts`."""
+        block = np.asarray(failed_disk_ids).reshape(1, -1)
+        return float(self.pdl_of_bursts(block)[0])
+
+
+def _as_block(failed_disk_ids: AnyArray) -> AnyArray:
+    block = np.asarray(failed_disk_ids)
+    if block.ndim != 2:
+        raise ValueError("failed_disk_ids must be 2-D (one row per burst)")
+    return block
+
+
+def _hypergeom_tails(pool: int, failed: AnyArray, width: int, p: int) -> AnyArray:
+    """:func:`hypergeom_tail` of each failed-disk count in ``failed`` (any
+    shape), one memoized call per distinct count."""
+    counts, inverse = np.unique(failed, return_inverse=True)
+    table = np.array([hypergeom_tail(pool, c, width, p) for c in counts.tolist()])
+    return table[inverse].reshape(np.shape(failed))
+
+
+def _any_pool_over(pool_ids: AnyArray, limit: int) -> AnyArray:
+    """Per row of ``(bursts, failures)`` pool ids: does some pool hold more
+    than ``limit`` of the failures?  Run lengths over each sorted row:
+    exact integer arithmetic, memory linear in the failures."""
+    rows, _pools, counts = pool_runs(pool_ids)
+    over = np.zeros(len(pool_ids), dtype=bool)
+    over[rows[counts > limit]] = True
+    return over
+
+
+def _stripe_loss_rows(
+    n_rows: int, row_of: AnyArray, q: AnyArray, stripes: int
+) -> AnyArray:
+    """Per row, P[some stripe is lost] when each of the row's groups loses
+    each of its ``stripes`` stripes with probability ``q``.
+
+    ``row_of`` (ascending) gives each group's row.  A row folds
+    ``stripes * log1p(-q)`` over its groups left to right, from ``0.0``,
+    and returns ``-expm1`` of the sum; a certain loss (``q >= 1``) makes
+    it 1.0.  The fold runs one column per group rank, so every row takes
+    the additions a per-row loop would, whatever the other rows hold: a
+    padded ``0.0`` leaves a partial sum unchanged, because a sum that
+    starts at ``0.0`` is never ``-0.0``.  A row with no groups folds
+    nothing and returns ``-0.0``.
+    """
+    certain = q >= 1.0
+    terms = np.zeros(len(q))
+    terms[~certain] = stripes * np.log1p(-q[~certain])
+    rank = np.arange(len(row_of)) - np.searchsorted(row_of, row_of)
+    columns = np.zeros((int(rank.max(initial=-1)) + 1, n_rows))
+    columns[rank, row_of] = terms
+    no_loss_log = np.zeros(n_rows)
+    for column in columns:
+        no_loss_log += column
+    pdls = -np.expm1(no_loss_log)
+    pdls[row_of[certain]] = 1.0
+    return pdls
+
+
+def _any_of_many_rows(q: AnyArray, count: int) -> AnyArray:
+    """:func:`~repro.analysis.combinatorics.any_of_many` of each entry of
+    ``q``: ``1 - (1 - q)^count``, 0.0 for ``q <= 0`` and 1.0 for
+    ``q >= 1``."""
+    pdls = np.where(q >= 1.0, 1.0, 0.0)
+    mid = (q > 0.0) & (q < 1.0)
+    pdls[mid] = -np.expm1(count * np.log1p(-q[mid]))
+    return pdls
+
+
+def _rack_hits(block: AnyArray, dc: DatacenterConfig) -> AnyArray:
+    """Each burst's failed disks per rack over the rack size:
+    ``(bursts, racks)``, the chance that a disk picked uniformly in the
+    rack has failed."""
+    n_rows, racks = len(block), dc.racks
+    ids = block // dc.disks_per_rack + racks * np.arange(n_rows)[:, None]
+    per_rack = np.bincount(ids.ravel(), minlength=n_rows * racks)
+    return per_rack.reshape(n_rows, racks) / dc.disks_per_rack
+
+
+# ----------------------------------------------------------------------
 # MLEC evaluator
 # ----------------------------------------------------------------------
-class MLECBurstEvaluator:
-    """PDL of bursts under an MLEC scheme (Figure 5's cell values).
-
-    :meth:`pdl_of_bursts` is the one implementation: it evaluates a whole
-    block of bursts with array operations, and :meth:`pdl_of_burst` is
-    its one-row call.
-    """
+class MLECBurstEvaluator(_RowsEvaluator):
+    """PDL of bursts under an MLEC scheme (Figure 5's cell values)."""
 
     def __init__(self, scheme: MLECScheme) -> None:
         self.scheme = scheme
@@ -213,18 +304,9 @@ class MLECBurstEvaluator:
         s = self.scheme
         if s.local_placement is Placement.CLUSTERED:
             return np.ones(failed_in_pool.shape)  # a Cp pool *is* one stripe wide
-        counts, inverse = np.unique(failed_in_pool, return_inverse=True)
-        table = np.array([
-            hypergeom_tail(s.local_pool_disks, c, s.params.n_l, s.params.p_l)
-            for c in counts.tolist()
-        ])
-        return table[inverse].reshape(failed_in_pool.shape)
-
-    def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
-        """Probability this burst loses data, integrating over placement:
-        a one-row :meth:`pdl_of_bursts`."""
-        block = np.asarray(failed_disk_ids).reshape(1, -1)
-        return float(self.pdl_of_bursts(block)[0])
+        return _hypergeom_tails(
+            s.local_pool_disks, failed_in_pool, s.params.n_l, s.params.p_l
+        )
 
     def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
         """PDL of each row of a ``(bursts, failures)`` block of failed-disk
@@ -235,9 +317,7 @@ class MLECBurstEvaluator:
         call, whatever the other rows hold.
         """
         s = self.scheme
-        block = np.asarray(failed_disk_ids)
-        if block.ndim != 2:
-            raise ValueError("failed_disk_ids must be 2-D (one row per burst)")
+        block = _as_block(failed_disk_ids)
         pdls = np.zeros(len(block))
         damage = summarize_mlec_damage(s, block, self.topo)
         burst_of = damage.catastrophic_rows
@@ -270,8 +350,9 @@ class MLECBurstEvaluator:
         The catastrophic ``pools`` arrive in (burst, pool) order.  Each
         co-stripe group (burst, key) of at least ``p_n + 1`` pools loses a
         network stripe with a Poisson-binomial tail over its pools in pool
-        order; a burst folds ``stripes_per_pool * log1p(-q)`` over its
-        groups in key order, and a certain loss (``q >= 1``) makes it 1.0.
+        order, and a burst folds its groups in key order
+        (:func:`_stripe_loss_rows`).  A burst with no shared group folds
+        nothing: the -0.0 the per-burst loop returned for it.
         Lost-stripe probabilities are looked up for those groups' pools
         only, so a scheme whose bursts never share a group never loads
         the hypergeometric machinery.
@@ -295,22 +376,9 @@ class MLECBurstEvaluator:
             sel = sizes == size
             lost = self._lost_stripe_probs(counts[starts[sel, None] + np.arange(size)])
             q_net[sel] = poisson_binomial_tails(lost, loss_threshold)
-        group_bursts = burst_of[starts]
-        certain = q_net >= 1.0
-        terms = np.zeros(len(starts))
-        terms[~certain] = self._stripes_per_pool * np.log1p(-q_net[~certain])
-        # Fold each burst's terms left to right, one column per group rank.
-        # A burst with no shared group folds nothing, and -expm1(0.0) is
-        # the -0.0 the per-burst loop returned for it.
-        rank = np.arange(len(starts)) - np.searchsorted(group_bursts, group_bursts)
-        columns = np.zeros((int(rank.max(initial=-1)) + 1, n_bursts))
-        columns[rank, group_bursts] = terms
-        no_loss_log = np.zeros(n_bursts)
-        for column in columns:
-            no_loss_log += column
-        pdls = -np.expm1(no_loss_log)
-        pdls[group_bursts[certain]] = 1.0
-        return pdls
+        return _stripe_loss_rows(
+            n_bursts, burst_of[starts], q_net, self._stripes_per_pool
+        )
 
     def _network_declustered_pdls(
         self, n_bursts: int, burst_of: AnyArray, racks: AnyArray,
@@ -330,19 +398,21 @@ class MLECBurstEvaluator:
         np.add.at(hit, (burst_of, racks), per_pool * self._lost_stripe_probs(counts))
         np.minimum(hit, 1.0, out=hit)
         pmf = rack_selection_hits_pmf_rows(hit, s.params.n_n, s.params.p_n + 1)
-        # any_of_many(q, network stripes), burst by burst.
-        q = pmf[:, -1]
-        pdls = np.where(q >= 1.0, 1.0, 0.0)
-        mid = (q > 0.0) & (q < 1.0)
-        pdls[mid] = -np.expm1(self._network_stripes * np.log1p(-q[mid]))
-        return pdls
+        return _any_of_many_rows(pmf[:, -1], self._network_stripes)
 
 
 # ----------------------------------------------------------------------
 # SLEC evaluator
 # ----------------------------------------------------------------------
-class SLECBurstEvaluator:
-    """PDL of one burst under a SLEC placement (Figure 13's cell values)."""
+class SLECBurstEvaluator(_RowsEvaluator):
+    """PDL of bursts under a SLEC placement (Figure 13's cell values).
+
+    A burst of at most ``p`` failures never loses data.  Clustered
+    placements lose data exactly when some pool holds more than ``p``
+    failures.  Local-Dp pools are enclosures with hypergeometric stripe
+    damage; Network-Dp stripes pick ``n`` distinct racks and one disk in
+    each (the rack-selection DP).
+    """
 
     def __init__(self, scheme: SLECScheme) -> None:
         self.scheme = scheme
@@ -350,57 +420,57 @@ class SLECBurstEvaluator:
         dc = scheme.dc
         self._total_stripes = dc.total_disks * dc.chunks_per_disk // scheme.params.n
 
-    def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
+    def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
+        """PDL of each row of a ``(bursts, failures)`` block of failed-disk
+        ids (in any order within a row); row ``i`` is bit-identical to
+        evaluating that burst alone."""
         s = self.scheme
         p = s.params.p
-        failed = np.asarray(failed_disk_ids)
-        if failed.size <= p:
-            return 0.0
+        block = _as_block(failed_disk_ids)
+        if block.shape[1] <= p:
+            return np.zeros(len(block))
 
         if s.level is Level.LOCAL:
             if s.placement is Placement.CLUSTERED:
-                pools = self.topo.clustered_pool_of(failed, s.params.n)
-                counts = np.bincount(pools)
-                return 1.0 if np.any(counts > p) else 0.0
-            # Local-Dp: pool per enclosure, hypergeometric stripe damage.
-            pools = self.topo.enclosure_of(failed)
-            counts = np.bincount(pools)
-            counts = counts[counts > p]
-            if counts.size == 0:
-                return 0.0
-            pool_disks = s.dc.disks_per_enclosure
-            stripes_per_pool = pool_disks * s.dc.chunks_per_disk // s.params.n
-            log_no = 0.0
-            for c in counts:
-                q = hypergeom_tail(pool_disks, int(c), s.params.n, p)
-                if q >= 1.0:
-                    return 1.0
-                log_no += stripes_per_pool * np.log1p(-q)
-            return float(-np.expm1(log_no))
+                pools = self.topo.clustered_pool_of(block, s.params.n)
+                return _any_pool_over(pools, p).astype(float)
+            return self._local_declustered_pdls(block)
 
         if s.placement is Placement.CLUSTERED:
             # Network-Cp: a pool is the set of disks at the same in-rack
             # position across a group of k+p racks.
-            racks = self.topo.rack_of(failed)
-            groups = racks // s.params.n
-            positions = self.topo.position_in_rack_of(failed)
-            keys = groups * s.dc.disks_per_rack + positions
-            counts = np.bincount(keys.astype(np.int64))
-            return 1.0 if np.any(counts > p) else 0.0
+            groups = self.topo.rack_of(block) // s.params.n
+            keys = groups * s.dc.disks_per_rack + self.topo.position_in_rack_of(block)
+            return _any_pool_over(keys, p).astype(float)
 
         # Network-Dp: a stripe picks n distinct racks and one disk in each.
-        racks = self.topo.rack_of(failed)
-        per_rack = np.bincount(racks, minlength=s.dc.racks)
-        hit = per_rack / s.dc.disks_per_rack
-        pmf = rack_selection_hits_pmf(hit, s.params.n, p + 1)
-        return any_of_many(float(pmf[-1]), self._total_stripes)
+        pmf = rack_selection_hits_pmf_rows(_rack_hits(block, s.dc), s.params.n, p + 1)
+        return _any_of_many_rows(pmf[:, -1], self._total_stripes)
+
+    def _local_declustered_pdls(self, block: AnyArray) -> AnyArray:
+        """Local-Dp: a pool per enclosure.  Each pool with more than ``p``
+        failures loses each of its stripes with a hypergeometric tail,
+        folded over a burst's pools in pool order; a burst with no such
+        pool is ``0.0``."""
+        s = self.scheme
+        p = s.params.p
+        rows, _pools, counts = pool_runs(self.topo.enclosure_of(block))
+        over = counts > p
+        rows, counts = rows[over], counts[over]
+        pool_disks = s.dc.disks_per_enclosure
+        stripes_per_pool = pool_disks * s.dc.chunks_per_disk // s.params.n
+        q = _hypergeom_tails(pool_disks, counts, s.params.n, p)
+        pdls = np.zeros(len(block))
+        exposed = np.unique(rows)
+        pdls[exposed] = _stripe_loss_rows(len(block), rows, q, stripes_per_pool)[exposed]
+        return pdls
 
 
 # ----------------------------------------------------------------------
 # LRC evaluator
 # ----------------------------------------------------------------------
-class LRCBurstEvaluator:
-    """PDL of one burst under a declustered LRC (Figure 16's cell values).
+class LRCBurstEvaluator(_RowsEvaluator):
+    """PDL of bursts under a declustered LRC (Figure 16's cell values).
 
     Uses the peeling recoverability criterion: a pattern with ``f_g``
     erasures in each local group (data + its local parity) and ``f_free``
@@ -460,16 +530,22 @@ class LRCBurstEvaluator:
         totals = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
         return bad / totals
 
-    def pdl_of_burst(self, failed_disk_ids: AnyArray) -> float:
+    def pdl_of_bursts(self, failed_disk_ids: AnyArray) -> AnyArray:
+        """PDL of each row of a ``(bursts, failures)`` block of failed-disk
+        ids; row ``i`` is bit-identical to evaluating that burst alone.
+
+        A stripe picks ``n`` distinct racks and one disk in each; its
+        erasure count has the rack-selection pmf, and ``q = pmf . U`` is
+        P[the stripe is unrecoverable].  Each row's product is its own
+        ``np.dot``, so its summation order never depends on the block.
+        """
         s = self.scheme
-        failed = np.asarray(failed_disk_ids)
-        racks = self.topo.rack_of(failed)
-        per_rack = np.bincount(racks, minlength=s.dc.racks)
-        hit = per_rack / s.dc.disks_per_rack
         n = s.params.n
-        pmf = rack_selection_hits_pmf(hit, n, n)  # full pmf, no capping
-        q = float(np.dot(pmf, self._unrec_fraction[: len(pmf)]))
-        return any_of_many(q, self._total_stripes)
+        block = _as_block(failed_disk_ids)
+        pmf = rack_selection_hits_pmf_rows(_rack_hits(block, s.dc), n, n)
+        unrec = self._unrec_fraction[: n + 1]
+        q = np.array([np.dot(row, unrec) for row in pmf], dtype=float)
+        return _any_of_many_rows(q, self._total_stripes)
 
 
 # ----------------------------------------------------------------------
@@ -555,13 +631,28 @@ def burst_pdl(
         raise ValueError(f"trials must be positive, got {trials}")
     if rng is not None:
         gen = BurstGenerator(dc if dc is not None else evaluator.scheme.dc, rng)
-        total = 0.0
-        for burst in gen.sample(failures, racks, size=trials):
-            total += evaluator.pdl_of_burst(burst)
-        return total / trials
+        return _block_mean(evaluator, gen, failures, racks, trials)
     return burst_pdl_stats(
         evaluator, failures, racks, trials, seed=seed, dc=dc, runner=runner
     ).mean
+
+
+def _block_mean(
+    evaluator: BurstEvaluator,
+    gen: BurstGenerator,
+    failures: int,
+    racks: int,
+    trials: int,
+) -> float:
+    """Mean PDL of ``trials`` bursts drawn from ``gen`` as one block and
+    evaluated as one block.  The PDLs fold left in burst order
+    (``total += pdl``): neither ``sum`` (compensated on Python 3.12) nor
+    ``np.sum`` (pairwise) adds in that order."""
+    total = 0.0
+    block = gen.sample(failures, racks, size=trials)
+    for pdl in evaluator.pdl_of_bursts(block).tolist():
+        total += pdl
+    return total / trials
 
 
 def _grid_cell_trial(
@@ -571,14 +662,9 @@ def _grid_cell_trial(
     trials: int,
     dc: DatacenterConfig,
 ) -> float:
-    """One heatmap cell: ``trials`` bursts on the cell's private stream,
-    drawn as one block."""
+    """One heatmap cell: ``trials`` bursts on the cell's private stream."""
     _i, _j, failures, racks = cells[ctx.index]
-    gen = BurstGenerator(dc, ctx.rng())
-    total = 0.0
-    for burst in gen.sample(failures, racks, size=trials):
-        total += evaluator.pdl_of_burst(burst)
-    return total / trials
+    return _block_mean(evaluator, BurstGenerator(dc, ctx.rng()), failures, racks, trials)
 
 
 def burst_pdl_grid(
@@ -589,22 +675,21 @@ def burst_pdl_grid(
     seed: int = 0,
     runner: TrialRunner | None = None,
     workers: int = 1,
-    batch: str = "auto",
 ) -> AnyArray:
     """A full heatmap: PDL[i, j] for failures[i] x racks[j].
 
     Cells with fewer failures than affected racks are impossible and
     reported as NaN (the paper's figures leave them blank).  The feasible
     cells run as trials of a runner, one stream per cell, so the
-    grid is bitwise identical for any worker count.  Without a
-    ``runner`` one is built from ``workers`` and ``batch`` (the batch
-    engine is speed only: bit-identical results); a caller-provided
+    grid is bitwise identical for any worker count.  Each cell draws and
+    evaluates its bursts as one block, so a cell has no batch form.
+    Without a ``runner`` one is built from ``workers``; a caller-provided
     ``runner`` keeps its own settings.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if runner is None:
-        runner = TrialRunner(workers=workers, batch=batch)
+        runner = TrialRunner(workers=workers)
     failure_counts = np.asarray(failure_counts)
     rack_counts = np.asarray(rack_counts)
     grid = np.full((len(failure_counts), len(rack_counts)), np.nan)

@@ -5,8 +5,9 @@ contract: for every trial function, every scheme family, and every
 telemetry collector, ``batch="on"`` must produce byte-identical results
 to ``batch="off"``.  These tests pin that contract -- aggregate fields,
 metrics snapshots, and trace records compare with ``==``, never with
-tolerances -- and exercise both demotion paths (SLEC Loc-Dp bursts and
+tolerances -- and exercise the simulate demotion paths (traced trials,
 window-overlapping repairs) plus the ``auto`` engagement heuristic.
+Burst trials never demote.
 """
 
 import numpy as np
@@ -90,8 +91,10 @@ class TestResolveBatchMode:
         below = BATCH_MIN_TRIALS - 1
         assert resolve_batch_mode("auto", _burst_trial, below) is False
         assert resolve_batch_mode("auto", _burst_trial, BATCH_MIN_TRIALS) is True
-        # Each grid-cell trial is a block of bursts: any chunk batches.
-        assert resolve_batch_mode("auto", _grid_cell_trial, 1) is True
+        # A grid-cell trial draws and evaluates its bursts as one block
+        # already: it has no batch form, whatever the chunk size.
+        assert batch_impl_for(_grid_cell_trial) is None
+        assert resolve_batch_mode("on", _grid_cell_trial, 10_000) is False
 
     def test_runner_validates_mode(self):
         with pytest.raises(ValueError, match="batch"):
@@ -129,17 +132,17 @@ class TestBurstIdentity:
         assert sides["on"][1] == sides["off"][1]
         assert sides["on"][2] == sides["off"][2]
 
-    def test_lrc_demotes_all_and_stays_identical(self):
+    def test_lrc_batches_all_and_stays_identical(self):
         ev = LRCBurstEvaluator(LRCScheme(LRCParams(14, 2, 4)))
         sides = burst_identity_case(ev, 60, 6)
         assert sides["on"][0] == sides["off"][0]
         assert sides["on"][1] == sides["off"][1]
         assert sides["on"][2] == sides["off"][2]
-        # LRC has no vector form: every trial takes the scalar evaluator.
+        # The LRC rows form evaluates the whole chunk: no trial demotes.
         batched, demoted = batch_counters(sides["on"][3])
-        assert batched == 0
-        assert demoted == 40
-        assert demotion_reasons(sides["on"][3]) == {"no_vector_form": 40}
+        assert batched == 40
+        assert demoted == 0
+        assert demotion_reasons(sides["on"][3]) == {}
 
     def test_dd_hard_cell_never_demotes(self):
         """D/D at 60/3 loses data in most trials, all evaluated in rows:
@@ -154,8 +157,9 @@ class TestBurstIdentity:
         assert demotion_reasons(sides["on"][3]) == {}
         assert sides["on"][0].losses > 0
 
-    def test_demoted_bursts_are_drawn_once(self, monkeypatch):
-        """A demoted burst is evaluated on its batch sample, not redrawn."""
+    def test_bursts_are_drawn_once_per_trial(self, monkeypatch):
+        """The batch form draws each trial's burst once, as the scalar
+        trial does, and evaluates the chunk's samples as drawn."""
         calls = []
         sample = BurstGenerator.sample
 
@@ -166,8 +170,7 @@ class TestBurstIdentity:
         monkeypatch.setattr(BurstGenerator, "sample", counting_sample)
         ev = slec_evaluator(Level.LOCAL, Placement.DECLUSTERED)
         sides = burst_identity_case(ev, 60, 6)
-        _batched, demoted = batch_counters(sides["on"][3])
-        assert demoted > 0
+        assert batch_counters(sides["on"][3]) == (40, 0)
         # One draw per trial on each side (40 batched + 40 scalar).
         assert len(calls) == 2 * 40
         assert sides["on"][0] == sides["off"][0]
@@ -189,24 +192,34 @@ class TestBurstIdentity:
 
 class TestGridIdentity:
     @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
-    def test_fig5_grid_batches_every_chunk_under_auto(self, name):
-        """The 29 feasible Fig. 5 cells chunk 8/8/8/5; none runs scalar."""
+    def test_fig5_grid_batches_every_chunk_under_auto(self, name, monkeypatch):
+        """Each of the 29 feasible Fig. 5 cells evaluates its bursts as one
+        block, in every batch mode; the batch engine has no grid form, so
+        its counters stay at zero."""
+        blocks = []
+        rows_form = MLECBurstEvaluator.pdl_of_bursts
+
+        def recording_rows_form(ev, block):
+            blocks.append(len(block))
+            return rows_form(ev, block)
+
+        monkeypatch.setattr(MLECBurstEvaluator, "pdl_of_bursts",
+                            recording_rows_form)
         ev = mlec_evaluator(name)
         failures = np.array([12, 24, 36, 48, 60])
         racks = np.array([1, 2, 3, 6, 12, 30, 60])
         runner = TrialRunner(workers=1, batch="auto")
         auto = burst_pdl_grid(ev, failures, racks, trials=4, seed=5,
                               runner=runner)
+        assert blocks == [4] * 29
         off = burst_pdl_grid(ev, failures, racks, trials=4, seed=5,
                              runner=TrialRunner(workers=1, batch="off"))
         assert auto.tobytes() == off.tobytes()
-        batched, demoted = batch_counters(runner)
-        assert batched + demoted == 29
-        assert demoted == 0  # MLEC bursts are evaluated in rows
+        assert batch_counters(runner) == (0, 0)
 
 
 class TestBurstBlockMemory:
-    """A cell's bursts are classified in memory linear in its failures:
+    """A cell's bursts are evaluated in memory linear in its failures:
     20,000 bursts of 60 failures peak near the sampler's own ~80 MB,
     where a dense bursts x pools count matrix would need about 1 GB."""
 
@@ -219,11 +232,10 @@ class TestBurstBlockMemory:
     def test_large_cell_peak_memory(self, evaluator):
         import tracemalloc
 
-        burst_pdl_grid(evaluator, [60], [3], trials=10, seed=1, batch="on")
+        burst_pdl_grid(evaluator, [60], [3], trials=10, seed=1)
         tracemalloc.start()
         try:
-            burst_pdl_grid(evaluator, [60], [3], trials=20_000, seed=1,
-                           batch="on")
+            burst_pdl_grid(evaluator, [60], [3], trials=20_000, seed=1)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -513,7 +525,7 @@ class TestBatchFallback:
     @pytest.fixture(autouse=True)
     def raising_registration(self, monkeypatch):
         monkeypatch.setattr(batch_module, "_IMPLS", dict(batch_module._IMPLS))
-        register_batch_impl(_always_zero, min_trials=1)(_raising_impl)
+        register_batch_impl(_always_zero)(_raising_impl)
 
     def test_on_surfaces_batch_errors(self):
         runner = TrialRunner(batch="on", chunk_size=4)
@@ -521,18 +533,21 @@ class TestBatchFallback:
             runner.map(_always_zero, 12, seed=0)
 
     def test_auto_falls_back_and_counts_each_chunk(self):
-        runner = TrialRunner(batch="auto", chunk_size=4)
-        assert runner.map(_always_zero, 12, seed=0) == [0.0] * 12
+        # Chunks at the ``auto`` minimum, so every chunk tries the batch form.
+        runner = TrialRunner(batch="auto", chunk_size=BATCH_MIN_TRIALS)
+        trials = 3 * BATCH_MIN_TRIALS
+        assert runner.map(_always_zero, trials, seed=0) == [0.0] * trials
         counters = runner.ops_metrics.snapshot()["counters"]
         assert counters["sim.batch_fallbacks"] == 3
         assert batch_counters(runner) == (0, 0)
 
     def test_auto_fallbacks_count_by_exception_type(self):
-        register_batch_impl(_always_one, min_trials=1)(_torn_impl)
-        runner = TrialRunner(batch="auto", chunk_size=4)
+        register_batch_impl(_always_one)(_torn_impl)
+        runner = TrialRunner(batch="auto", chunk_size=BATCH_MIN_TRIALS)
         metrics = MetricsRegistry()
-        assert runner.map(_always_zero, 8, seed=0, metrics=metrics) == [0.0] * 8
-        assert runner.map(_always_one, 12, seed=0, metrics=metrics) == [1.0] * 12
+        zeros, ones = 2 * BATCH_MIN_TRIALS, 3 * BATCH_MIN_TRIALS
+        assert runner.map(_always_zero, zeros, seed=0, metrics=metrics) == [0.0] * zeros
+        assert runner.map(_always_one, ones, seed=0, metrics=metrics) == [1.0] * ones
         counters = runner.ops_metrics.snapshot()["counters"]
         assert counters["sim.batch_fallbacks.runtime_error"] == 2
         assert counters["sim.batch_fallbacks.torn_batch_error"] == 3
@@ -570,9 +585,11 @@ class TestOpsTelemetrySegregation:
         runner = TrialRunner(batch="on")
         metrics = MetricsRegistry()
         scheme = mlec_scheme_from_name("C/C", MLECParams(4, 1, 5, 1))
-        runner.map(simulate_trial, 4, seed=2,
-                   args=(scheme, RepairMethod.R_ALL, 0.2, YEAR / 12),
+        args = (scheme, RepairMethod.R_ALL, 0.2, YEAR / 12)
+        runner.map(simulate_trial, 4, seed=2, args=args,
                    metrics=metrics, trace=TraceRecorder())
+        # Untraced, 4+1/5+1 at AFR 0.2 overlaps repairs past the budget.
+        runner.map(simulate_trial, 4, seed=2, args=args, metrics=metrics)
         burst_pdl_stats(slec_evaluator(Level.LOCAL, Placement.DECLUSTERED),
                         60, 6, trials=20, seed=1, runner=runner,
                         metrics=metrics)
@@ -580,5 +597,5 @@ class TestOpsTelemetrySegregation:
         assert not any(k.startswith("sim.batch") for k in result_counters)
         reasons = demotion_reasons(runner)
         assert reasons["traced"] == 4  # traced trials always demote
-        assert set(reasons) == {"traced", "undecided"}
+        assert set(reasons) == {"traced", "parity_window"}
         assert sum(reasons.values()) == batch_counters(runner)[1]

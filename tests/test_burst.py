@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.config import LRCParams, MLECParams, SLECParams
+from repro.core.config import DatacenterConfig, LRCParams, MLECParams, SLECParams
 from repro.core.scheme import LRCScheme, SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement
+from repro.runtime import TrialRunner
 from repro.sim.burst import (
     BurstGenerator,
     LRCBurstEvaluator,
@@ -373,6 +374,176 @@ class TestRowsEvaluator:
         with pytest.raises(ValueError, match="2-D"):
             evaluator("D/D").pdl_of_bursts(np.arange(12))
 
+def slec_reference_pdl(ev, failed):
+    """One burst's SLEC PDL by the per-burst code the rows form replaced:
+    an independent oracle for :meth:`SLECBurstEvaluator.pdl_of_bursts`."""
+    from repro.analysis.combinatorics import (
+        any_of_many,
+        hypergeom_tail,
+        rack_selection_hits_pmf,
+    )
+
+    s = ev.scheme
+    p = s.params.p
+    failed = np.asarray(failed)
+    if failed.size <= p:
+        return 0.0
+    if s.level is Level.LOCAL:
+        if s.placement is Placement.CLUSTERED:
+            counts = np.bincount(failed // s.params.n)
+            return 1.0 if np.any(counts > p) else 0.0
+        counts = np.bincount(failed // s.dc.disks_per_enclosure)
+        counts = counts[counts > p]
+        if counts.size == 0:
+            return 0.0
+        pool_disks = s.dc.disks_per_enclosure
+        stripes_per_pool = pool_disks * s.dc.chunks_per_disk // s.params.n
+        log_no = 0.0
+        for c in counts:
+            q = hypergeom_tail(pool_disks, int(c), s.params.n, p)
+            if q >= 1.0:
+                return 1.0
+            log_no += stripes_per_pool * np.log1p(-q)
+        return float(-np.expm1(log_no))
+    dpr = s.dc.disks_per_rack
+    racks = failed // dpr
+    if s.placement is Placement.CLUSTERED:
+        keys = (racks // s.params.n) * dpr + failed % dpr
+        return 1.0 if np.any(np.bincount(keys) > p) else 0.0
+    hit = np.bincount(racks, minlength=s.dc.racks) / dpr
+    pmf = rack_selection_hits_pmf(hit, s.params.n, p + 1)
+    return any_of_many(float(pmf[-1]), ev._total_stripes)
+
+
+def lrc_reference_pdl(ev, failed):
+    """One burst's LRC PDL by the per-burst code the rows form replaced."""
+    from repro.analysis.combinatorics import any_of_many, rack_selection_hits_pmf
+
+    s = ev.scheme
+    dpr = s.dc.disks_per_rack
+    hit = np.bincount(np.asarray(failed) // dpr, minlength=s.dc.racks) / dpr
+    pmf = rack_selection_hits_pmf(hit, s.params.n, s.params.n)
+    q = float(np.dot(pmf, ev._unrec_fraction[: len(pmf)]))
+    return any_of_many(q, ev._total_stripes)
+
+
+#: 2 MB disks (15 chunks each): declustered PDLs are fractional.
+SMALL_DISKS = DatacenterConfig(disk_capacity_bytes=2 * 10**6)
+SLEC_PLACEMENTS = [(level, placement) for level in Level for placement in Placement]
+
+
+def slec(level, placement, dc=None):
+    dc = dc if dc is not None else DatacenterConfig()
+    return SLECBurstEvaluator(SLECScheme(SLECParams(7, 3), level, placement, dc))
+
+
+def lrc(dc=None):
+    dc = dc if dc is not None else DatacenterConfig()
+    return LRCBurstEvaluator(LRCScheme(LRCParams(14, 2, 4), dc))
+
+
+def assert_rows_match(ev, block, oracle):
+    """Each row of ``pdl_of_bursts(block)`` equals the one-row call and the
+    oracle by ``float.hex``, which also tells 0.0 from -0.0."""
+    rows = ev.pdl_of_bursts(block)
+    for burst, value in zip(block, rows.tolist()):
+        assert value.hex() == ev.pdl_of_burst(burst).hex()
+        assert value.hex() == oracle(ev, burst).hex()
+    return rows
+
+
+class TestSLECAndLRCRows:
+    """The SLEC and LRC rows forms against their per-burst code."""
+
+    CELLS = [(4, 1), (12, 1), (24, 2), (60, 3), (60, 6), (60, 12),
+             (120, 3), (240, 10), (300, 60)]
+
+    @pytest.mark.parametrize("level, placement", SLEC_PLACEMENTS)
+    @pytest.mark.parametrize("dc", [None, SMALL_DISKS], ids=["20TB", "2MB"])
+    def test_slec_rows_match_one_row_calls_and_oracle(self, level, placement, dc):
+        ev = slec(level, placement, dc)
+        gen = BurstGenerator(ev.scheme.dc, np.random.default_rng(23))
+        fractional = 0
+        for failures, racks in self.CELLS:
+            rows = assert_rows_match(
+                ev, gen.sample(failures, racks, size=30), slec_reference_pdl)
+            fractional += int(((rows > 0.0) & (rows < 1.0)).sum())
+        if dc is not None and placement is Placement.DECLUSTERED:
+            assert fractional > 30  # the fold's last bits are compared
+
+    def test_lrc_rows_match_one_row_calls_and_oracle(self):
+        ev = lrc()
+        gen = BurstGenerator(rng=np.random.default_rng(29))
+        fractional = 0
+        for failures, racks in self.CELLS + [(60, 30), (120, 60)]:
+            rows = assert_rows_match(
+                ev, gen.sample(failures, racks, size=30), lrc_reference_pdl)
+            fractional += int(((rows > 0.0) & (rows < 1.0)).sum())
+        assert fractional > 30
+
+    @pytest.mark.parametrize("level, placement", SLEC_PLACEMENTS)
+    def test_slec_unsorted_and_duplicate_ids(self, level, placement):
+        ev = slec(level, placement, SMALL_DISKS)
+        rng = np.random.default_rng(31)
+        block = BurstGenerator(SMALL_DISKS, rng).sample(60, 3, size=30)
+        block = rng.permuted(block, axis=1)  # unsorted rows
+        block[::3, 1] = block[::3, 0]  # a duplicated id in every third row
+        rows = assert_rows_match(ev, block, slec_reference_pdl)
+        assert rows.tobytes() == ev.pdl_of_bursts(np.sort(block, axis=1)).tobytes()
+
+    def test_lrc_unsorted_and_duplicate_ids(self):
+        ev = lrc()
+        rng = np.random.default_rng(37)
+        block = BurstGenerator(rng=rng).sample(60, 30, size=30)
+        block = rng.permuted(block, axis=1)
+        block[::3, 1] = block[::3, 0]
+        rows = assert_rows_match(ev, block, lrc_reference_pdl)
+        assert rows.tobytes() == ev.pdl_of_bursts(np.sort(block, axis=1)).tobytes()
+
+    @pytest.mark.parametrize("level, placement", SLEC_PLACEMENTS)
+    def test_slec_width_at_most_p_and_empty_bursts(self, level, placement):
+        """Up to p failures (none at all included) never lose data: +0.0."""
+        ev = slec(level, placement)
+        rng = np.random.default_rng(41)
+        for width in range(ev.scheme.params.p + 1):
+            block = rng.integers(ev.scheme.dc.disks_per_rack, size=(5, width))
+            rows = assert_rows_match(ev, block, slec_reference_pdl)
+            assert [v.hex() for v in rows.tolist()] == ["0x0.0p+0"] * 5
+
+    def test_lrc_empty_and_recoverable_bursts(self):
+        """r + 1 = 5 failures are always recoverable: +0.0."""
+        ev = lrc()
+        for width in (0, 5):
+            block = np.arange(5 * width).reshape(5, width) * 960  # 1 per rack
+            rows = assert_rows_match(ev, block, lrc_reference_pdl)
+            assert [v.hex() for v in rows.tolist()] == ["0x0.0p+0"] * 5
+
+    def test_local_dp_signs_of_zero_and_certain_loss(self):
+        """Loc-Dp on one block: a burst with no pool over p is +0.0, a pool
+        whose every stripe is hit is 1.0 whatever the other pools hold,
+        and fractional rows keep their own fold."""
+        ev = slec(Level.LOCAL, Placement.DECLUSTERED, SMALL_DISKS)
+        dpe = SMALL_DISKS.disks_per_enclosure
+        block = np.array([
+            np.arange(8) * dpe,  # eight enclosures, one failure each
+            np.concatenate([np.arange(4), np.arange(4) + dpe]),  # p+1 in one
+            np.concatenate([np.arange(4), np.arange(4) + 2 * dpe]),
+            np.arange(8),  # 8 of an enclosure's 120 disks
+        ])
+        rows = assert_rows_match(ev, block, slec_reference_pdl)
+        assert rows[0].hex() == "0x0.0p+0"
+        assert 0.0 < rows[1] < 1.0 and rows[1] == rows[2]
+        assert rows[3] > rows[1]
+        full = np.concatenate([np.arange(dpe - 4), np.arange(4) + dpe])
+        assert ev.pdl_of_bursts(full.reshape(1, -1)).tolist() == [1.0]
+        assert slec_reference_pdl(ev, full) == 1.0
+
+    def test_rejects_non_block_input(self):
+        for ev in (slec(Level.LOCAL, Placement.CLUSTERED), lrc()):
+            with pytest.raises(ValueError, match="2-D"):
+                ev.pdl_of_bursts(np.arange(12))
+
+
 GOLDEN_SEED = 2026
 FIG5_FAILURES = np.array([12, 24, 36, 48, 60])
 FIG5_RACKS = np.array([1, 2, 3, 6, 12, 30, 60])
@@ -462,13 +633,15 @@ class TestGoldenArtifacts:
     @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
     def test_fig5_grid(self, name, batch):
         grid = burst_pdl_grid(evaluator(name), FIG5_FAILURES, FIG5_RACKS,
-                              trials=20, seed=GOLDEN_SEED, batch=batch)
+                              trials=20, seed=GOLDEN_SEED,
+                              runner=TrialRunner(batch=batch))
         assert sha256(grid) == self.FIG5_GRIDS[name]
 
     @pytest.mark.parametrize("name", ["C/C", "C/D", "D/C", "D/D"])
     def test_heavy_grid(self, name, batch):
         grid = burst_pdl_grid(evaluator(name), HEAVY_FAILURES, HEAVY_RACKS,
-                              trials=20, seed=GOLDEN_SEED, batch=batch)
+                              trials=20, seed=GOLDEN_SEED,
+                              runner=TrialRunner(batch=batch))
         assert sha256(grid) == self.HEAVY_GRIDS[name]
 
     @pytest.mark.parametrize("name", ["D/D", "C/D"])
@@ -497,13 +670,13 @@ class TestGoldenArtifacts:
         level, placement, failures, racks = case
         ev = SLECBurstEvaluator(SLECScheme(SLECParams(7, 3), level, placement))
         grid = burst_pdl_grid(ev, [failures], [racks], trials=200,
-                              seed=GOLDEN_SEED, batch=batch)
+                              seed=GOLDEN_SEED,
+                              runner=TrialRunner(batch=batch))
         assert float(grid[0, 0]).hex() == self.SLEC_CELLS[case]
 
     @pytest.mark.parametrize("case", list(SMALL_DISK_TRIALS))
     def test_small_disk_slec_trial_values(self, case, batch):
         from repro.core.config import DatacenterConfig
-        from repro.runtime import TrialRunner
         from repro.sim.burst import _burst_trial
 
         level, placement, failures, racks = case
@@ -518,7 +691,6 @@ class TestGoldenArtifacts:
 
     def test_lrc_fig16_cell(self, batch):
         from repro.reporting import format_heatmap
-        from repro.runtime import TrialRunner
 
         failures = np.array([12, 24, 36, 48, 60])
         racks = np.array([1, 3, 5, 6, 10, 30, 60])
