@@ -10,8 +10,8 @@ The rule flags ``for`` statements inside ``repro/sim/batch.py`` whose
 iterable mentions the per-trial collections (``contexts``, ``trials``):
 those are loops over trial indices, the axis that must stay vectorized.
 Loops over other axes (event heaps, pools, repair windows) are fine and
-are not flagged.  The few *intentional* per-trial loops -- demotion
-dispatch, stream hand-off, scalar fold-order replay -- carry an explicit
+are not flagged.  The few *intentional* per-trial loops -- stream
+hand-off, per-trial telemetry, demotion dispatch -- carry an explicit
 ``# simlint: disable=SL010`` marker, which doubles as documentation that
 someone decided the loop is not hot.
 """
@@ -47,7 +47,7 @@ class ScalarLoopInBatchPath(Rule):
         "A Python for loop over trial indices inside repro/sim/batch.py "
         "de-vectorizes the batch engine's hot path; move the work into "
         "numpy array operations, or mark an intentional per-trial loop "
-        "(demotion dispatch, scalar fold replay) with "
+        "(stream hand-off, demotion dispatch) with "
         "# simlint: disable=SL010."
     )
 

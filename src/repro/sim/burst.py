@@ -460,10 +460,10 @@ class SLECBurstEvaluator(_RowsEvaluator):
         pool_disks = s.dc.disks_per_enclosure
         stripes_per_pool = pool_disks * s.dc.chunks_per_disk // s.params.n
         q = _hypergeom_tails(pool_disks, counts, s.params.n, p)
-        pdls = np.zeros(len(block))
-        exposed = np.unique(rows)
-        pdls[exposed] = _stripe_loss_rows(len(block), rows, q, stripes_per_pool)[exposed]
-        return pdls
+        exposed = np.zeros(len(block), dtype=bool)
+        exposed[rows] = True
+        loss = _stripe_loss_rows(len(block), rows, q, stripes_per_pool)
+        return np.where(exposed, loss, 0.0)
 
 
 # ----------------------------------------------------------------------
