@@ -617,7 +617,7 @@ class TestGoldenArtifacts:
             "833cdd2e1e02a1f6fcd2547038e63c11e4b88010e2ca97d9d51266660fbe6eb2",
     }
     #: Figure 16's (60 failures, 60 racks) cell, from the bench's own
-    #: grid; the rendered heatmap is the bench's committed table.
+    #: grid; the rendered heatmap is the table that bench writes.
     LRC_FIG16_CELL = "0x1.17a10ca2acd5fp-10"
     LRC_FIG16_TABLE = (
         "Figure 16: PDL of (14,2,4) LRC-Dp under failure bursts\n"
