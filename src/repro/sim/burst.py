@@ -664,7 +664,8 @@ def _grid_cell_trial(
 ) -> float:
     """One heatmap cell: ``trials`` bursts on the cell's private stream."""
     _i, _j, failures, racks = cells[ctx.index]
-    return _block_mean(evaluator, BurstGenerator(dc, ctx.rng()), failures, racks, trials)
+    gen = BurstGenerator(dc, ctx.rng())
+    return _block_mean(evaluator, gen, failures, racks, trials)
 
 
 def burst_pdl_grid(
