@@ -69,6 +69,13 @@ class TestMLECDPAnchors:
         pdl = {name: mlec_burst_pdl(scheme(name), 60, 3)
                for name in ("C/C", "C/D", "D/C", "D/D")}
         assert pdl["D/D"] > pdl["C/D"] > pdl["D/C"] > pdl["C/C"]
+        # Golden pins: the exact DP's values, bit for bit.
+        assert {name: v.hex() for name, v in pdl.items()} == {
+            "C/C": "0x1.a8f0000000000p-33",
+            "C/D": "0x1.572cf1fcd7900p-9",
+            "D/C": "0x1.c75d9b2f3353fp-17",
+            "D/D": "0x1.809c762b176b3p-1",
+        }
 
     def test_scattering_monotonicity(self):
         """Finding 2: spreading 60 failures over more racks lowers PDL."""
@@ -127,10 +134,13 @@ class TestSLECDP:
 
     def test_net_cp_zero_within_p_racks(self):
         s = self._s(Level.NETWORK, Placement.CLUSTERED)
-        assert slec_burst_pdl(s, 60, 3) <= FLOAT_FLOOR
+        v = slec_burst_pdl(s, 60, 3)
+        assert v <= FLOAT_FLOOR
+        assert v.hex() == "0x0.0p+0"  # golden pin
 
     def test_net_cp_collision_probability_plausible(self):
         """Scattered failures: position collisions are rare but non-zero."""
         s = self._s(Level.NETWORK, Placement.CLUSTERED)
         v = slec_burst_pdl(s, 60, 60)
         assert 0.0 <= v < 1e-3
+        assert v.hex() == "0x1.7c62c2f400000p-20"  # golden pin
