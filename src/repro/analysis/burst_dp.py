@@ -14,12 +14,14 @@ Two layers of counting:
    more than ``p_l`` failures) follows from exchangeable-cell counting
    (:func:`repro.analysis.combinatorics.exactly_j_cells_over_threshold_pmf`).
 
-2. *Across racks*: a generic cell-collision DP
-   (:class:`CellCollisionDP`) tracks how many shared positions have
-   accumulated 1, 2, ... catastrophic pools, rack by rack, and kills states
-   where any position reaches the loss threshold.  An outer DP allocates
-   the ``y`` failures (and, for network-clustered schemes, the ``x`` racks)
-   across rack groups.
+2. *Across racks*: for network-clustered schemes, one cell-collision DP
+   (:func:`_netcp_pdl`, splits from :func:`_collision_splits`) tracks how
+   many shared positions have accumulated 1, 2, ... marks, rack by rack,
+   and kills states where any position reaches the loss threshold.  MLEC
+   C/C and D/C mark catastrophic pool positions; SLEC Net-Cp is the same
+   DP with one mark per failed disk.  An outer DP allocates the ``y``
+   failures (and, for network-clustered schemes, the ``x`` racks) across
+   rack groups.
 
 Declustered caveat: wherever a declustered placement is involved the DP
 uses the worst-case declustering assumption (a pool with more than ``p_l``
@@ -33,6 +35,7 @@ the placement-averaged refinement.  The test suite checks DP >= MC.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -43,103 +46,53 @@ from ..core.types import Level, Placement
 from .combinatorics import exactly_j_cells_over_threshold_pmf
 
 __all__ = [
-    "CellCollisionDP",
     "mlec_burst_pdl",
     "slec_burst_pdl",
 ]
 
 
-class CellCollisionDP:
-    """Survival DP for racks throwing marks into shared exchangeable cells.
+#: One surviving outcome of a rack's marks: (new occupancy state, ways).
+_Split = tuple[tuple[int, ...], float]
 
-    ``n_cells`` positions are shared across racks.  Racks are processed one
-    at a time; rack ``i`` contributes ``j`` marks (with a caller-supplied
-    distribution over ``j``), thrown into ``j`` *distinct* cells uniformly.
-    A cell that accumulates ``threshold`` marks is a data loss; the DP
-    tracks the joint distribution of how many cells sit at each occupancy
-    level ``1..threshold-1`` and accumulates only surviving states.
 
-    States are dicts ``{(n_1, ..., n_{threshold-1}): weight}``.  With the
-    paper's parameters the state space stays in the low thousands.
+def _collision_splits(
+    state: tuple[int, ...], n_free: int, j: int
+) -> list[_Split]:
+    """Surviving ways to throw ``j`` marks into ``j`` distinct cells.
+
+    ``state[i]`` counts the shared cells holding ``i+1`` marks and
+    ``n_free`` the cells holding none; a cell that reaches
+    ``len(state) + 1`` marks is a data loss.  Marks hitting a level-``i``
+    cell promote it to level ``i+1``; the top level can take none.  Returns
+    ``(new_state, ways)`` pairs, where ``ways`` counts the cell choices
+    (the multivariate hypergeometric numerator over ``C(n_cells, j)``).
     """
+    levels = len(state)
+    if levels == 0:
+        # threshold 1: any mark is a loss
+        return [(state, 1.0)] if j == 0 else []
+    out: list[_Split] = []
+    top = levels - 1
 
-    def __init__(self, n_cells: int, threshold: int) -> None:
-        if n_cells <= 0 or threshold < 1:
-            raise ValueError("n_cells and threshold must be positive")
-        self.n_cells = n_cells
-        self.threshold = threshold
-        self.levels = threshold - 1  # tracked occupancy levels 1..threshold-1
-        empty = (0,) * self.levels
-        self.states: dict[tuple[int, ...], float] = {empty: 1.0}
+    def rec(i: int, remaining: int, new_state: list[int], ways: float) -> None:
+        if i == top:
+            # the marks left land on free cells and make level-1 cells
+            if remaining <= n_free:
+                new_state[0] += remaining
+                out.append(
+                    (tuple(new_state), ways * math.comb(n_free, remaining))
+                )
+                new_state[0] -= remaining
+            return
+        for a in range(min(state[i], remaining) + 1):
+            new_state[i] -= a
+            new_state[i + 1] += a
+            rec(i + 1, remaining - a, new_state, ways * math.comb(state[i], a))
+            new_state[i] += a
+            new_state[i + 1] -= a
 
-    def survive_probability(self) -> float:
-        """Total surviving weight (callers keep it normalized)."""
-        return float(sum(self.states.values()))
-
-    def add_rack(self, j_pmf: AnyArray) -> None:
-        """Fold in one rack with ``P[j marks] = j_pmf[j]``.
-
-        Marks hitting a level-``i`` cell promote it to level ``i+1``; a hit
-        on a level-``threshold-1`` cell is a loss and the state's weight is
-        dropped.  The hit split across levels is multivariate
-        hypergeometric over the cell counts.
-        """
-        j_pmf = np.asarray(j_pmf, dtype=float)
-        new: dict[tuple[int, ...], float] = {}
-        for state, weight in self.states.items():
-            n_free = self.n_cells - sum(state)
-            for j, pj in enumerate(j_pmf):
-                if pj <= 0.0:
-                    continue
-                if j == 0:
-                    key = state
-                    new[key] = new.get(key, 0.0) + weight * pj
-                    continue
-                if j > self.n_cells:
-                    continue  # impossible; weight is lost (treated as loss)
-                denom = math.comb(self.n_cells, j)
-                for split, ways in self._splits(state, n_free, j):
-                    w = weight * pj * ways / denom
-                    new[split] = new.get(split, 0.0) + w
-        self.states = new
-
-    def _splits(
-        self, state: tuple[int, ...], n_free: int, j: int
-    ) -> list[tuple[tuple[int, ...], float]]:
-        """Yield (new_state, ways) for surviving allocations of j marks."""
-        if self.levels == 0:
-            # threshold == 1: any mark is a loss; only j == 0 survives
-            # (handled by caller), so nothing to yield here.
-            return []
-        out: list[tuple[tuple[int, ...], float]] = []
-        # a[i] = marks hitting level-(i+1) cells, i = 0..levels-1; the top
-        # level cannot take any mark (that would reach the threshold).
-        top = self.levels - 1
-
-        def rec(i: int, remaining: int, counts: list[int], ways: float) -> None:
-            if i == top:
-                # marks on the top level would cause loss -> must be 0
-                a_free = remaining
-                if a_free > n_free:
-                    return
-                w = ways * math.comb(n_free, a_free)
-                new_state = list(state)
-                for lvl in range(self.levels):
-                    new_state[lvl] += counts[lvl]
-                # free-cell hits create level-1 cells
-                new_state[0] += a_free
-                out.append((tuple(new_state), w))
-                return
-            for a in range(min(state[i], remaining) + 1):
-                counts[i] -= a  # a cells leave level i+1... see note below
-                counts[i + 1] += a
-                rec(i + 1, remaining - a, counts, ways * math.comb(state[i], a))
-                counts[i] += a
-                counts[i + 1] -= a
-
-        # counts: net change per level; start at zero.
-        rec(0, j, [0] * self.levels, 1.0)
-        return out
+    rec(0, j, list(state), 1.0)
+    return out
 
 
 def _prune_states(
@@ -258,99 +211,73 @@ def _netdp_pdl(
 # Network-clustered schemes: racks live in groups of n_n; loss requires
 # >= p_n+1 catastrophic pools at the same pool position within one group.
 # ----------------------------------------------------------------------
-def _netcp_group_tables(
-    disks_per_rack: int,
-    cells: int,
-    cell_size: int,
-    p_l: int,
-    loss_threshold: int,
-    group_size: int,
-    max_m: int,
-    max_r: int,
-) -> tuple[AnyArray, AnyArray]:
-    """Per-group survival and total tables.
-
-    Returns ``(survive, total)`` with shape ``(max_m+1, max_r+1)``:
-    ``total[m, r]`` is the (scaled) number of layouts of ``r`` failures in
-    ``m`` affected racks of the group (each >= 1), and ``survive[m, r]`` the
-    portion in which no pool position collects ``loss_threshold``
-    catastrophic pools.
-    """
-    max_f = min(max_r, disks_per_rack)
-    w = _scaled_rack_weights(disks_per_rack, max_f)
-    j_dists = _per_rack_j_distributions(cells, cell_size, max_f, p_l)
-
-    survive = np.zeros((max_m + 1, max_r + 1))
-    total = np.zeros((max_m + 1, max_r + 1))
-    survive[0, 0] = total[0, 0] = 1.0
-
-    # total[m] is a plain convolution over failure counts.
-    conv = np.zeros(max_r + 1)
-    conv[0] = 1.0
-    for m in range(1, max_m + 1):
-        new = np.zeros_like(conv)
-        for f in range(1, max_f + 1):
-            new[f:] += conv[: max_r + 1 - f] * w[f]
-        conv = new
-        total[m] = conv
-
-    # survive[m] needs the collision DP; run it incrementally per failure
-    # allocation.  State: {(occupancy-levels): weights indexed by r}.
-    # Implemented as dict state -> AnyArray over r.
-    states: dict[tuple[int, ...], AnyArray] = {}
-    empty = (0,) * (loss_threshold - 1)
-    init = np.zeros(max_r + 1)
-    init[0] = 1.0
-    states[empty] = init
-    dp_proto = CellCollisionDP(cells, loss_threshold)
-    for m in range(1, max_m + 1):
-        new_states: dict[tuple[int, ...], AnyArray] = {}
-        for state, vec in states.items():
-            n_free = cells - sum(state)
-            for f in range(1, max_f + 1):
-                j_pmf = j_dists[f]
-                shifted_src = vec[: max_r + 1 - f]
-                if not shifted_src.any():
-                    continue
-                for j, pj in enumerate(j_pmf):
-                    if pj <= 1e-300:
-                        continue
-                    if j == 0:
-                        arr = new_states.setdefault(state, np.zeros(max_r + 1))
-                        arr[f:] += shifted_src * (w[f] * pj)
-                        continue
-                    if j > cells:
-                        continue
-                    denom = math.comb(cells, j)
-                    dp_proto.states = {state: 1.0}
-                    for split, ways in dp_proto._splits(state, n_free, j):
-                        arr = new_states.setdefault(split, np.zeros(max_r + 1))
-                        arr[f:] += shifted_src * (w[f] * pj * ways / denom)
-        states = _prune_states(new_states)
-        agg = np.zeros(max_r + 1)
-        for vec in states.values():
-            agg += vec
-        survive[m] = agg
-    return survive, total
-
-
 def _netcp_pdl(
     disks_per_rack: int,
     cells: int,
-    cell_size: int,
-    p_l: int,
+    j_dists: Sequence[AnyArray],
     loss_threshold: int,
     group_size: int,
     n_groups: int,
     failures: int,
     racks: int,
 ) -> float:
-    """PDL for network-clustered schemes: exact count over group layouts."""
+    """PDL for network-clustered schemes: exact count over group layouts.
+
+    A rack with ``f`` failures throws ``j`` marks into distinct cells of
+    the ``cells`` positions its group shares, with ``P[j] = j_dists[f][j]``;
+    a position that collects ``loss_threshold`` marks is a data loss.
+    """
     max_m = min(group_size, racks)
-    survive, total = _netcp_group_tables(
-        disks_per_rack, cells, cell_size, p_l, loss_threshold,
-        group_size, max_m, failures,
-    )
+    max_f = len(j_dists) - 1
+    w = _scaled_rack_weights(disks_per_rack, max_f)
+
+    # Per-group tables, rack by rack: total[m, r] is the (scaled) number of
+    # layouts of r failures in m affected racks of the group (each >= 1),
+    # survive[m, r] the portion in which no position reaches the threshold.
+    # The collision DP's states map occupancy levels to weights over r.
+    survive = np.zeros((max_m + 1, failures + 1))
+    total = np.zeros((max_m + 1, failures + 1))
+    survive[0, 0] = total[0, 0] = 1.0
+    conv = np.zeros(failures + 1)
+    conv[0] = 1.0
+    states: dict[tuple[int, ...], AnyArray] = {
+        (0,) * (loss_threshold - 1): conv.copy()
+    }
+    # Splits memo, keyed (state, j); it lives for this call only.
+    splits: dict[tuple[tuple[int, ...], int], list[_Split]] = {}
+    for m in range(1, max_m + 1):
+        new_conv = np.zeros_like(conv)
+        for f in range(1, max_f + 1):
+            new_conv[f:] += conv[: failures + 1 - f] * w[f]
+        conv = new_conv
+        total[m] = conv
+
+        new_states: dict[tuple[int, ...], AnyArray] = {}
+        for state, vec in states.items():
+            n_free = cells - sum(state)
+            for f in range(1, max_f + 1):
+                src = vec[: failures + 1 - f]
+                if not src.any():
+                    continue
+                for j, pj in enumerate(j_dists[f]):
+                    if pj <= 1e-300 or j > cells:
+                        continue
+                    weight = w[f] * pj
+                    denom = math.comb(cells, j)
+                    key = (state, j)
+                    if key not in splits:
+                        splits[key] = _collision_splits(state, n_free, j)
+                    for split, ways in splits[key]:
+                        arr = new_states.get(split)
+                        if arr is None:
+                            arr = new_states[split] = np.zeros(failures + 1)
+                        arr[f:] += src * (weight * ways / denom)
+        states = _prune_states(new_states)
+        agg = np.zeros(failures + 1)
+        for vec in states.values():
+            agg += vec
+        survive[m] = agg
+
     # Outer DP over groups: allocate affected racks m_g (weight C(group,m))
     # and failures r_g; numerator uses survive, denominator total.
     choose = np.array([math.comb(group_size, m) for m in range(max_m + 1)])
@@ -390,9 +317,12 @@ def mlec_burst_pdl(scheme: MLECScheme, failures: int, racks: int) -> float:
             s.dc.disks_per_rack, cells, cell_size, s.params.p_l,
             loss, failures, racks,
         )
+    j_dists = _per_rack_j_distributions(
+        cells, cell_size, min(failures, s.dc.disks_per_rack), s.params.p_l
+    )
     return _netcp_pdl(
-        s.dc.disks_per_rack, cells, cell_size, s.params.p_l,
-        loss, s.network_group_racks, s.network_groups, failures, racks,
+        s.dc.disks_per_rack, cells, j_dists, loss,
+        s.network_group_racks, s.network_groups, failures, racks,
     )
 
 
@@ -430,66 +360,11 @@ def slec_burst_pdl(scheme: SLECScheme, failures: int, racks: int) -> float:
     # position inside one rack group collects p+1 marks.  This is the
     # group-collision DP with "cells = disk positions" and each rack
     # contributing exactly f marks (all failures are marks).
-    return _netcp_pdl_positions(
-        s.dc.disks_per_rack, p + 1, s.params.n,
-        s.dc.racks // s.params.n, failures, racks,
+    disks = s.dc.disks_per_rack
+    return _netcp_pdl(
+        disks, disks, list(np.eye(min(failures, disks) + 1)), p + 1,
+        s.params.n, s.dc.racks // s.params.n, failures, racks,
     )
-
-
-def _netcp_pdl_positions(
-    disks_per_rack: int,
-    loss_threshold: int,
-    group_size: int,
-    n_groups: int,
-    failures: int,
-    racks: int,
-) -> float:
-    """Network-Cp SLEC: marks are the failed disks' in-rack positions."""
-    max_m = min(group_size, racks)
-    max_f = min(failures, disks_per_rack)
-    w = _scaled_rack_weights(disks_per_rack, max_f)
-
-    # Inner per-group tables, rack by rack; each rack with f failures
-    # throws exactly f marks into distinct position cells.
-    cells = disks_per_rack
-    dp_proto = CellCollisionDP(cells, loss_threshold)
-    empty = (0,) * (loss_threshold - 1)
-    states: dict[tuple[int, ...], AnyArray] = {}
-    init = np.zeros(failures + 1)
-    init[0] = 1.0
-    states[empty] = init
-    survive = np.zeros((max_m + 1, failures + 1))
-    total = np.zeros((max_m + 1, failures + 1))
-    survive[0, 0] = total[0, 0] = 1.0
-    conv = init.copy()
-    for m in range(1, max_m + 1):
-        new_conv = np.zeros_like(conv)
-        for f in range(1, max_f + 1):
-            new_conv[f:] += conv[: failures + 1 - f] * w[f]
-        conv = new_conv
-        total[m] = conv
-
-        new_states: dict[tuple[int, ...], AnyArray] = {}
-        for state, vec in states.items():
-            n_free = cells - sum(state)
-            for f in range(1, max_f + 1):
-                src = vec[: failures + 1 - f]
-                if not src.any():
-                    continue
-                denom = math.comb(cells, f)
-                for split, ways in dp_proto._splits(state, n_free, f):
-                    arr = new_states.setdefault(split, np.zeros(failures + 1))
-                    arr[f:] += src * (w[f] * ways / denom)
-        states = _prune_states(new_states)
-        agg = np.zeros(failures + 1)
-        for vec in states.values():
-            agg += vec
-        survive[m] = agg
-
-    choose = np.array([math.comb(group_size, m) for m in range(max_m + 1)])
-    num = _fold_groups(survive, choose, n_groups, racks, failures, max_m)
-    den = _fold_groups(total, choose, n_groups, racks, failures, max_m)
-    return _ratio_to_pdl(num, den)
 
 
 def _fold_groups(

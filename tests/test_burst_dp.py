@@ -1,9 +1,15 @@
 """Exact burst DP: paper anchors, consistency with Monte Carlo."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.analysis.burst_dp import CellCollisionDP, mlec_burst_pdl, slec_burst_pdl
+from repro.analysis.burst_dp import (
+    _collision_splits,
+    mlec_burst_pdl,
+    slec_burst_pdl,
+)
 from repro.core.config import MLECParams, SLECParams
 from repro.core.scheme import SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement
@@ -17,38 +23,36 @@ def scheme(name):
     return mlec_scheme_from_name(name, PARAMS)
 
 
+def _survive(n_cells, threshold, marks):
+    """P[no cell reaches ``threshold``] when rack ``i`` throws ``marks[i]``
+    marks into distinct cells, folded through ``_collision_splits``."""
+    states = {(0,) * (threshold - 1): 1.0}
+    for j in marks:
+        new = {}
+        for state, weight in states.items():
+            n_free = n_cells - sum(state)
+            for split, ways in _collision_splits(state, n_free, j):
+                w = weight * ways / math.comb(n_cells, j)
+                new[split] = new.get(split, 0.0) + w
+        states = new
+    return sum(states.values())
+
+
 class TestCellCollisionDP:
     def test_no_marks_survives(self):
-        dp = CellCollisionDP(n_cells=10, threshold=3)
-        dp.add_rack(np.array([1.0]))
-        assert dp.survive_probability() == pytest.approx(1.0)
+        assert _survive(10, 3, [0]) == pytest.approx(1.0)
 
     def test_single_rack_cannot_collide(self):
-        dp = CellCollisionDP(n_cells=10, threshold=2)
-        dp.add_rack(np.array([0.0, 0.0, 0.0, 1.0]))  # 3 marks, distinct cells
-        assert dp.survive_probability() == pytest.approx(1.0)
+        assert _survive(10, 2, [3]) == pytest.approx(1.0)  # distinct cells
 
     def test_guaranteed_collision(self):
         """2 racks each marking every cell must collide at threshold 2."""
-        dp = CellCollisionDP(n_cells=4, threshold=2)
-        full = np.zeros(5)
-        full[4] = 1.0
-        dp.add_rack(full)
-        dp.add_rack(full)
-        assert dp.survive_probability() == pytest.approx(0.0)
+        assert _survive(4, 2, [4, 4]) == pytest.approx(0.0)
 
     def test_birthday_collision_probability(self):
         """2 racks, 1 mark each, C cells: collision probability 1/C."""
         c = 7
-        dp = CellCollisionDP(n_cells=c, threshold=2)
-        one = np.array([0.0, 1.0])
-        dp.add_rack(one)
-        dp.add_rack(one)
-        assert dp.survive_probability() == pytest.approx(1 - 1 / c)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CellCollisionDP(0, 3)
+        assert _survive(c, 2, [1, 1]) == pytest.approx(1 - 1 / c)
 
 
 class TestMLECDPAnchors:

@@ -71,6 +71,12 @@ def _cd_loss(failed: np.ndarray) -> bool:
     return (counts >= 2).sum() >= 2
 
 
+def _net_cp_loss(failed: np.ndarray) -> bool:
+    """Network-Cp (2+1) SLEC: one group of 3 racks; a stripe spans one
+    disk position across the racks, so 2 failures at a position lose."""
+    return np.bincount(failed % 6, minlength=6).max() >= 2
+
+
 def _loc_cp_loss(failed: np.ndarray) -> bool:
     """Local-Cp (2+1) SLEC: any pool with >= 2 failures loses."""
     pools = failed // 3
@@ -118,4 +124,16 @@ class TestSLECDPAgainstBruteForce:
         )
         dp = slec_burst_pdl(scheme, failures, racks)
         brute = _brute_force_pdl(_loc_cp_loss, failures, racks)
+        assert dp == pytest.approx(brute, abs=1e-9), (failures, racks)
+
+    @pytest.mark.parametrize("failures,racks", [
+        (1, 1), (2, 1), (6, 1), (2, 2), (3, 2), (4, 2),
+        (3, 3), (4, 3), (6, 3), (8, 3),
+    ])
+    def test_net_cp_exact(self, failures, racks):
+        scheme = SLECScheme(
+            SLECParams(2, 1), Level.NETWORK, Placement.CLUSTERED, TINY
+        )
+        dp = slec_burst_pdl(scheme, failures, racks)
+        brute = _brute_force_pdl(_net_cp_loss, failures, racks)
         assert dp == pytest.approx(brute, abs=1e-9), (failures, racks)
