@@ -269,7 +269,6 @@ class _TrialOutcome:
 
 def _campaign_trial(
     ctx: TrialContext,
-    tasks: tuple[tuple[int, int, int], ...],
     scenarios: tuple[ChaosScenario, ...],
     schemes: tuple[MLECScheme, ...],
     trials: int,
@@ -284,9 +283,11 @@ def _campaign_trial(
     Each trial builds its own injector and simulator (both are cheap and
     stateless across runs).  Trial ``t`` of every scenario and scheme
     runs on the sweep's stream keyed ``t`` -- common random numbers, so
-    schemes are compared on paired draws.
+    schemes are compared on paired draws.  Tasks run scenario-major, then
+    scheme, then trial, so the cell follows from ``ctx.index``.
     """
-    scenario_idx, scheme_idx, trial = tasks[ctx.index]
+    cell, trial = divmod(ctx.index, trials)
+    scenario_idx, scheme_idx = divmod(cell, len(schemes))
     scenario: ChaosScenario = scenarios[scenario_idx]
     scheme = schemes[scheme_idx]
     injector = FaultInjector(
@@ -411,12 +412,7 @@ class ChaosCampaign:
         one cell at a time.  ``trace``/``metrics`` collect per-trial
         telemetry through the runner (deterministic for any worker count).
         """
-        tasks = tuple(
-            (si, ci, trial)
-            for si in range(len(self.scenarios))
-            for ci in range(len(self.schemes))
-            for trial in range(self.trials)
-        )
+        tasks = len(self.scenarios) * len(self.schemes) * self.trials
         # Root the runner's span tree in a campaign span with a trace id
         # derived from the campaign's structural config (first seeding
         # wins, so the sweep inherits this identity).
@@ -424,7 +420,7 @@ class ChaosCampaign:
         spans.seed_trace(
             "chaos",
             seed,
-            len(tasks),
+            tasks,
             ",".join(s.name for s in self.scenarios),
             ",".join(s.name for s in self.schemes),
         )
@@ -437,10 +433,10 @@ class ChaosCampaign:
         ):
             outcomes = self.runner.map(
                 _campaign_trial,
-                len(tasks),
+                tasks,
                 seed=seed,
                 args=(
-                    tasks, self.scenarios, self.schemes, self.trials, self.dc,
+                    self.scenarios, self.schemes, self.trials, self.dc,
                     self.method, self.bw, self.failures, self.check_invariants,
                 ),
                 trace=trace,

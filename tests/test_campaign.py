@@ -1,6 +1,7 @@
 """Chaos campaigns: robustness report, invariants, scheme ordering."""
 
 import hashlib
+import pickle
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.faults import (
     chaos_datacenter,
     standard_scenarios,
 )
+from repro.runtime import TrialRunner
+from repro.runtime.executors.base import ChunkJob
 
 FAULT_CLASSES = (
     "rack-outage",
@@ -125,6 +128,27 @@ class TestCampaign:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ChaosCampaign(trials=0)
+
+    def test_chunk_job_size_does_not_grow_with_trials(self):
+        """A chunk job ships the campaign's config, not a task per trial:
+        each trial finds its cell from its index."""
+
+        class Shipped(Exception):
+            pass
+
+        class ShipOnly(TrialRunner):
+            def map(self, fn, trials, seed=0, args=(), **kwargs):
+                raise Shipped(ChunkJob(index=0, lo=0, hi=4, fn=fn, seed=seed,
+                                       args=args, collect=(False, False)))
+
+        sizes = []
+        for trials in (5, 500):
+            campaign = ChaosCampaign(schemes=("C/C", "D/D"), trials=trials,
+                                     runner=ShipOnly())
+            with pytest.raises(Shipped) as shipped:
+                campaign.run(seed=0)
+            sizes.append(len(pickle.dumps(shipped.value.args[0])))
+        assert sizes[1] - sizes[0] <= 4  # only the int ``trials`` widens
 
 
 class TestChaosCLI:
