@@ -181,15 +181,24 @@ class RngPlumbing(Rule):
         # expression references a parameter (plumbed), False otherwise.
         local_ctor_plumbed: dict[str, bool] = {}
         # Locals aliased (possibly transitively) from parameter-rooted
-        # expressions: rng = self.rng, rngs = self._children(), rng = rngs[0].
+        # expressions: rng = self.rng, rngs = self._children(), rng = rngs[0],
+        # and the targets of a loop over them: for i, rng in enumerate(rngs).
         local_aliases: set[str] = set()
-        assigns: list[tuple[int, str, ast.expr]] = []
+        assigns: list[tuple[int, str, ast.expr, bool]] = []
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
-                    assigns.append((node.lineno, target.id, node.value))
-        for _, target_name, value in sorted(assigns, key=lambda a: a[0]):
+                    assigns.append((node.lineno, target.id, node.value, False))
+            elif isinstance(node, ast.For):
+                for sub in ast.walk(node.target):
+                    if isinstance(sub, ast.Name):
+                        assigns.append((node.lineno, sub.id, node.iter, True))
+        for _, target_name, value, loop in sorted(assigns, key=lambda a: a[0]):
+            if loop:
+                if _references_any(value, params | local_aliases):
+                    local_aliases.add(target_name)
+                continue
             if self._is_generator_ctor(value, imports):
                 local_ctor_plumbed[target_name] = _references_any(value, params)
                 continue

@@ -181,20 +181,19 @@ def _burst_trial_batch(
 ) -> tuple[list[Any], BatchStats]:
     """Batch form of :func:`repro.sim.burst._burst_trial`.
 
-    Samples every trial's burst on its private stream through one shared
-    generator (one topology construction per chunk instead of one per
-    trial), then evaluates the chunk with one
+    Draws every trial's burst on its private stream and places the
+    chunk's bursts as one block
+    (:meth:`~repro.sim.burst.BurstGenerator.sample_streams`), then
+    evaluates the chunk with one
     :meth:`~repro.sim.burst.BurstEvaluator.pdl_of_bursts` call, whose
     row ``i`` is the scalar trial's value.  No trial demotes.
     """
     evaluator, failures, racks, dc = args
-    gen = BurstGenerator(dc)
-    samples = np.empty((len(contexts), failures), dtype=np.int64)
-    # Sampling replays each trial's private stream: the draws are
-    # inherently per-trial and stay scalar by design.
-    for i, ctx in enumerate(contexts):  # simlint: disable=SL010
-        gen.rng = ctx.rng()
-        samples[i] = gen.sample(failures, racks)
+    # The draws are inherently per-trial and stay on each trial's own
+    # stream by design; only the placement around them is one block.
+    samples = BurstGenerator(dc).sample_streams(
+        [ctx.rng() for ctx in contexts], failures, racks
+    )
     values = evaluator.pdl_of_bursts(samples).tolist()
     # Each trial's telemetry goes to its own collectors.
     for ctx, pdl in zip(contexts, values):  # simlint: disable=SL010

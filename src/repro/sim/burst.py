@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from typing import Any, Protocol
 
 import numpy as np
@@ -88,48 +89,112 @@ class BurstGenerator:
     ) -> AnyArray:
         """Failure bursts: the sorted global ids of the failed disks.
 
-        Without ``size`` one burst, shape ``(failures,)``; with it
-        ``size`` independent bursts drawn as one block, shape
-        ``(size, failures)``, in a few array calls whatever ``size`` is.
-        Per burst: ``racks`` distinct racks, the ``racks`` smallest of
-        uniform keys; one guaranteed failure per affected rack (otherwise
-        it would not be an affected rack); the remainder uniform without
-        replacement over the affected racks' other disks.
+        Without ``size`` one burst, shape ``(failures,)``: the one-row
+        call of :meth:`sample_streams`.  With it ``size`` independent
+        bursts drawn as one block, shape ``(size, failures)``, in a few
+        array calls whatever ``size`` is.  Per burst: ``racks`` distinct
+        racks, the ``racks`` smallest of uniform keys; one guaranteed
+        failure per affected rack (otherwise it would not be an affected
+        rack); the remainder uniform without replacement over the
+        affected racks' other disks.
         """
-        if racks < 1 or racks > self.dc.racks:
-            raise ValueError(f"racks must be in [1, {self.dc.racks}]")
-        if failures < racks:
-            raise ValueError("need at least one failure per affected rack")
-        dpr = self.dc.disks_per_rack
-        if failures > racks * dpr:
-            raise ValueError("more failures than disks in the affected racks")
-        if size is not None and size < 1:
+        if size is None:
+            return self.sample_streams((self.rng,), failures, racks)[0]
+        population, count, _, _ = _burst_plan(
+            self.dc.racks, self.dc.disks_per_rack, failures, racks
+        )
+        if size < 1:
             raise ValueError(f"size must be positive, got {size}")
-
         rng = self.rng
-        rows = 1 if size is None else size
-        keys = rng.random((rows, self.dc.racks))
-        chosen = np.argpartition(keys, racks - 1, axis=1)[:, :racks]
-        bursts = chosen * dpr + rng.integers(dpr, size=(rows, racks))
-        extra_n = failures - racks
-        if extra_n:
-            # Remaining failures: local indices in [0, racks*(dpr-1)) over
-            # the affected racks' disks minus the guaranteed ones, mapped
-            # around each rack's guaranteed disk.
-            local = _distinct_sorted(rng, racks * (dpr - 1), extra_n, rows)
-            rack_idx, slot = np.divmod(local, dpr - 1)
-            if rows > 1:  # index each row's racks in the flattened block
-                rack_idx += np.arange(0, rows * racks, racks)[:, None]
-            first = bursts.ravel()[rack_idx]
-            first_slot = first % dpr
-            extra = first - first_slot + slot + (slot >= first_slot)
-            bursts = np.concatenate((bursts, extra), axis=1)
-        bursts.sort(axis=1)
-        return bursts[0] if size is None else bursts
+        keys = rng.random((size, self.dc.racks))
+        offsets = rng.integers(self.dc.disks_per_rack, size=(size, racks))
+        local = _distinct_sorted(rng, population, count, size) if count else None
+        return _place(keys, offsets, local, self.dc.disks_per_rack)
+
+    def sample_streams(
+        self, rngs: Sequence[np.random.Generator], failures: int, racks: int
+    ) -> AnyArray:
+        """One burst per generator, shape ``(len(rngs), failures)``.
+
+        Row ``i`` is ``BurstGenerator(dc, rngs[i]).sample(failures,
+        racks)`` bit for bit, and ``rngs[i]`` ends in the state that call
+        leaves.  Each generator makes that call's draws in its order --
+        rack keys, guaranteed-disk offsets, then candidate rows or
+        uniform keys for the remaining failures -- and everything after
+        the draws runs once over the block (in blocks of streams whose
+        draws hold about :data:`_STREAM_BLOCK` numbers).  A stream whose
+        candidate rows hold no distinct row draws more afterwards, as the
+        one-row call's loop would: that is exact because the burst is the
+        last thing drawn from the stream.
+        """
+        dc_racks, dpr = self.dc.racks, self.dc.disks_per_rack
+        population, count, candidates, step = _burst_plan(
+            dc_racks, dpr, failures, racks
+        )
+        if len(rngs) > step:  # bound the draws' memory
+            return np.concatenate([
+                self.sample_streams(rngs[lo:lo + step], failures, racks)
+                for lo in range(0, len(rngs), step)
+            ])
+        key_rows: list[AnyArray] = []
+        offset_rows: list[AnyArray] = []
+        draw_rows: list[AnyArray] = []
+        # Each stream makes only its own draws, in the one-row call's order.
+        for rng in rngs:  # simlint: disable=SL010
+            key_rows.append(rng.random((1, dc_racks)))
+            offset_rows.append(rng.integers(dpr, size=(1, racks)))
+            if candidates:
+                draw_rows.append(rng.integers(population, size=(1, candidates, count)))
+            elif count:
+                draw_rows.append(rng.random((1, population)))
+        local: AnyArray | None = None  # no remaining failures
+        if candidates:
+            block = _rows(draw_rows)
+            block.sort(axis=2)
+            unequal = block[:, :, 1:] != block[:, :, :-1]
+            if unequal[:, 0].all():  # every first candidate row is distinct
+                local = block[:, 0]
+            else:
+                distinct = unequal.all(axis=2)
+                local = block[np.arange(len(rngs)), distinct.argmax(axis=1)]
+                for i in np.flatnonzero(~distinct.any(axis=1)).tolist():
+                    local[i] = _distinct_sorted(rngs[i], population, count, 1)[0]
+        elif count:
+            local = _smallest_sorted(_rows(draw_rows), count)
+        return _place(_rows(key_rows), _rows(offset_rows), local, dpr)
+
+
+def _place(
+    keys: AnyArray, offsets: AnyArray, local: AnyArray | None, dpr: int
+) -> AnyArray:
+    """Bursts from their draws, one row per burst, on racks of ``dpr``
+    disks: each row's affected racks are the smallest of its rack
+    ``keys``, each holding its guaranteed disk at its ``offsets`` entry,
+    and its ``local`` indices (sorted, in ``[0, racks * (dpr - 1))``;
+    ``None`` for no remaining failures) place the remaining failures
+    over those racks' disks minus the guaranteed ones, mapped around
+    each rack's guaranteed disk.  Rows sorted."""
+    rows, racks = offsets.shape
+    base = keys.argpartition(racks - 1, axis=1)[:, :racks] * dpr
+    bursts = base + offsets
+    if local is not None:
+        rack_idx, slot = np.divmod(local, dpr - 1)
+        if rows > 1:  # index each row's racks in the flattened block
+            rack_idx += np.arange(0, rows * racks, racks)[:, None]
+        guaranteed = offsets.ravel()[rack_idx]
+        extra = base.ravel()[rack_idx] + slot + (slot >= guaranteed)
+        bursts = np.concatenate((bursts, extra), axis=1)
+    bursts.sort(axis=1)
+    return bursts
 
 
 #: Floats of uniform keys :func:`_distinct_sorted` holds at once.
 _KEY_BLOCK = 1 << 20
+
+#: Numbers drawn by the streams :meth:`BurstGenerator.sample_streams`
+#: places at once: a block small enough to stay in cache, so a dense
+#: cell's streams cost no more per burst than one-row calls.
+_STREAM_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=1024)
@@ -151,6 +216,55 @@ def _candidate_rows(accept: float, need: int) -> int:
     return math.ceil((need + spare) / accept)
 
 
+@functools.lru_cache(maxsize=1024)
+def _burst_plan(
+    dc_racks: int, dpr: int, failures: int, racks: int
+) -> tuple[int, int, int, int]:
+    """``(population, count, candidates, step)`` of a burst of
+    ``failures`` over ``racks`` of ``dc_racks`` racks of ``dpr`` disks:
+    its ``count`` remaining failures fall on ``population`` disks, a
+    one-row call draws ``candidates`` candidate rows for them (see
+    :func:`_candidate_plan`), and ``step`` streams' draws hold about
+    :data:`_STREAM_BLOCK` numbers.  Raises on a burst that cannot exist."""
+    if racks < 1 or racks > dc_racks:
+        raise ValueError(f"racks must be in [1, {dc_racks}]")
+    if failures < racks:
+        raise ValueError("need at least one failure per affected rack")
+    if failures > racks * dpr:
+        raise ValueError("more failures than disks in the affected racks")
+    population, count = racks * (dpr - 1), failures - racks
+    candidates = _candidate_plan(population, count, 1)
+    drawn = candidates * count if candidates else population if count else 0
+    step = max(1, _STREAM_BLOCK // (dc_racks + racks + drawn))
+    return population, count, candidates, step
+
+
+def _rows(parts: list[AnyArray]) -> AnyArray:
+    """One block of the row blocks ``parts``, stacked in order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _candidate_plan(population: int, count: int, rows: int) -> int:
+    """Candidate rows :func:`_distinct_sorted` first draws for ``rows``
+    ``count``-subsets, or ``0`` when it takes uniform keys instead
+    (always for ``count == 0``, which draws nothing)."""
+    if count == 0:
+        return 0
+    accept = _distinct_acceptance(population, count)
+    if accept > 0.0:
+        candidates = _candidate_rows(accept, rows)
+        if candidates * count < rows * population:
+            return candidates
+    return 0
+
+
+def _smallest_sorted(keys: AnyArray, count: int) -> AnyArray:
+    """Each row's indices of its ``count`` smallest keys, sorted."""
+    local = keys.argpartition(count - 1, axis=1)[:, :count]
+    local.sort(axis=1)
+    return local
+
+
 def _distinct_sorted(
     rng: np.random.Generator, population: int, count: int, rows: int
 ) -> AnyArray:
@@ -169,8 +283,8 @@ def _distinct_sorted(
     What runs depends only on the arguments, so a seeded call is
     repeatable.
     """
-    accept = _distinct_acceptance(population, count)
-    if accept > 0.0 and _candidate_rows(accept, rows) * count < rows * population:
+    if _candidate_plan(population, count, rows):
+        accept = _distinct_acceptance(population, count)
         parts = []
         need = rows
         while need > 0:
@@ -189,8 +303,7 @@ def _distinct_sorted(
     step = max(1, _KEY_BLOCK // population)
     for lo in range(0, rows, step):
         keys = rng.random((min(step, rows - lo), population))
-        out[lo:lo + step] = np.argpartition(keys, count - 1, axis=1)[:, :count]
-    out.sort(axis=1)
+        out[lo:lo + step] = _smallest_sorted(keys, count)
     return out
 
 

@@ -17,7 +17,7 @@ from repro.core.config import YEAR, LRCParams, MLECParams, SLECParams
 from repro.core.scheme import LRCScheme, SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement, RepairMethod
 from repro.obs import MetricsRegistry, TraceRecorder
-from repro.runtime import TrialExecutionError, TrialRunner
+from repro.runtime import TrialContext, TrialExecutionError, TrialRunner
 from repro.runtime.executors.base import ChunkPayload
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
@@ -28,7 +28,6 @@ from repro.sim.batch import (
     resolve_batch_mode,
 )
 from repro.sim.burst import (
-    BurstGenerator,
     LRCBurstEvaluator,
     MLECBurstEvaluator,
     SLECBurstEvaluator,
@@ -158,21 +157,25 @@ class TestBurstIdentity:
         assert sides["on"][0].losses > 0
 
     def test_bursts_are_drawn_once_per_trial(self, monkeypatch):
-        """The batch form draws each trial's burst once, as the scalar
-        trial does, and evaluates the chunk's samples as drawn."""
-        calls = []
-        sample = BurstGenerator.sample
+        """The batch form opens each trial's stream once and draws from it
+        exactly the scalar trial's burst: after the batched chunks every
+        trial's generator is in the state the scalar trial leaves."""
+        opened = []
+        trial_rng = TrialContext.rng
 
-        def counting_sample(gen, failures, racks):
-            calls.append((failures, racks))
-            return sample(gen, failures, racks)
+        def recording_rng(ctx):
+            gen = trial_rng(ctx)
+            opened.append((ctx.index, gen))
+            return gen
 
-        monkeypatch.setattr(BurstGenerator, "sample", counting_sample)
+        monkeypatch.setattr(TrialContext, "rng", recording_rng)
         ev = slec_evaluator(Level.LOCAL, Placement.DECLUSTERED)
         sides = burst_identity_case(ev, 60, 6)
         assert batch_counters(sides["on"][3]) == (40, 0)
-        # One draw per trial on each side (40 batched + 40 scalar).
-        assert len(calls) == 2 * 40
+        # One stream per trial on each side (40 batched, then 40 scalar).
+        assert [index for index, _gen in opened] == list(range(40)) * 2
+        states = [gen.bit_generator.state for _index, gen in opened]
+        assert states[:40] == states[40:]
         assert sides["on"][0] == sides["off"][0]
         assert sides["on"][1] == sides["off"][1]
         assert sides["on"][2] == sides["off"][2]

@@ -5,18 +5,24 @@ bursts in a few array calls.  These tests tie it to the law the
 previous ``Generator.choice`` sampler drew (kept below only as a
 reference), check every row's structure, and compare block-sampled
 clustered SLEC cells with :func:`~repro.analysis.burst_dp.slec_burst_pdl`.
+``BurstGenerator.sample_streams`` draws one burst per generator and
+places them as one block; it must equal one ``sample`` call per stream.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repro.analysis.burst_dp import slec_burst_pdl
 from repro.core.config import DatacenterConfig, SLECParams
 from repro.core.scheme import SLECScheme
 from repro.core.types import Level, Placement
+from repro.sim import burst as burst_module
 from repro.sim.burst import BurstGenerator, SLECBurstEvaluator
 
 PAPER_DC = DatacenterConfig()
@@ -26,6 +32,10 @@ SMALL_DC = DatacenterConfig(racks=6, enclosures_per_rack=2, disks_per_enclosure=
 #: One network group of 10 racks x 10 disk positions, where the Net-Cp
 #: DP is fast and its PDLs are moderate.
 GROUP_DC = DatacenterConfig(racks=10, enclosures_per_rack=1, disks_per_enclosure=10)
+
+#: 6 racks x 25 disks: 21 failures over all 6 racks draw 9 candidate
+#: rows of 15 per burst, and about 1 burst in 300 finds no distinct one.
+REDRAW_DC = DatacenterConfig(racks=6, enclosures_per_rack=1, disks_per_enclosure=25)
 
 #: (dc, failures, racks) cells covering both ways the sampler draws the
 #: extra failures: sparse rows by rejection, dense rows by uniform keys.
@@ -125,6 +135,118 @@ class TestStructure:
             gen.sample(21, 2, size=4)  # two racks hold 20 disks
         with pytest.raises(ValueError, match="size must be positive"):
             gen.sample(5, 2, size=0)
+
+
+def keyed_streams(n, seed):
+    """``n`` generators keyed as a sweep's trials are."""
+    return [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        for i in range(n)
+    ]
+
+
+def assert_streams_match_per_stream_calls(dc, failures, racks, n, seed):
+    """``sample_streams`` over ``n`` keyed streams equals one ``sample``
+    call per stream: the same rows, and every generator's end state."""
+    block_rngs, single_rngs = keyed_streams(n, seed), keyed_streams(n, seed)
+    block = BurstGenerator(dc).sample_streams(block_rngs, failures, racks)
+    rows = np.stack([
+        BurstGenerator(dc, rng).sample(failures, racks) for rng in single_rngs
+    ])
+    assert block.shape == (n, failures)
+    assert np.array_equal(block, rows)
+    assert [rng.bit_generator.state for rng in block_rngs] == [
+        rng.bit_generator.state for rng in single_rngs
+    ]
+
+
+class TestStreamsBlock:
+    @pytest.mark.parametrize("dc,failures,racks", [
+        (PAPER_DC, 1, 1),  # failures == racks
+        (PAPER_DC, 60, 60),  # failures == racks == dc.racks
+        (PAPER_DC, 61, 60),  # candidate rows, every rack
+        (PAPER_DC, 60, 3),  # candidate rows: the hard cell
+        (PAPER_DC, 24, 6),  # candidate rows
+        (PAPER_DC, 60, 1),  # uniform keys, in blocks of 64 streams
+        (PAPER_DC, 960, 1),  # uniform keys, every disk of the rack
+        (PAPER_DC, 960, 60),  # uniform keys, one stream per block
+        (SMALL_DC, 6, 6),  # racks == dc.racks, no extras
+        (SMALL_DC, 25, 6),  # racks == dc.racks, uniform keys
+        (SMALL_DC, 60, 6),  # every disk
+    ])
+    def test_rows_and_end_states(self, dc, failures, racks):
+        assert_streams_match_per_stream_calls(dc, failures, racks, n=70, seed=3)
+
+    def test_forced_redraw(self, monkeypatch):
+        """Streams whose candidate rows all collide draw more afterwards,
+        each from its own generator, as the one-row call's loop does."""
+        redraws = []
+        distinct_sorted = burst_module._distinct_sorted
+
+        def counting(rng, population, count, rows):
+            redraws.append(rows)
+            return distinct_sorted(rng, population, count, rows)
+
+        rngs = keyed_streams(300, seed=1)
+        monkeypatch.setattr(burst_module, "_distinct_sorted", counting)
+        BurstGenerator(REDRAW_DC).sample_streams(rngs, 21, 6)
+        assert redraws == [1, 1, 1]
+        monkeypatch.undo()
+        assert_streams_match_per_stream_calls(REDRAW_DC, 21, 6, n=300, seed=1)
+
+    #: sha256 of each stream's one-row ``sample`` bytes and end state,
+    #: computed with the per-burst sampler the block form replaced.
+    ONE_ROW_PINS = {
+        (PAPER_DC, 1, 1, 40, 3):
+            "806487211a5809b188660f69301832f506310c01e29a5162236b938350833b4a",
+        (PAPER_DC, 61, 60, 40, 3):
+            "dd30c2a0c12cad9c613d423fbfa62ce033f76bc997a7d528958c571773b5815b",
+        (PAPER_DC, 60, 3, 40, 3):
+            "bfdf651f862975bfd4a6b427340ca49f7fa4aec5c2ec3eeac93faf70bc03e93d",
+        (PAPER_DC, 60, 1, 40, 3):
+            "9f8342b89dd13e50fccb62a7d9b5f67f2dd920ecac1886834a71c2073a0a3785",
+        (PAPER_DC, 960, 1, 40, 3):
+            "cb230c8768f24a782a02bda7e45629f1d9fbc94fadc1786dd3b3ad052509771f",
+        (SMALL_DC, 25, 6, 40, 3):
+            "c369fff23193189e7d9a02e76af3e568bbf1881c80ea6ada42542003fdbcfedb",
+        (REDRAW_DC, 21, 6, 300, 1):
+            "08304a5919b35ac91ce485b3c9545f9d3fa3e65630e9d95d22d216f9efc2afa0",
+    }
+
+    @pytest.mark.parametrize("cell", list(ONE_ROW_PINS))
+    def test_one_row_calls_pinned(self, cell):
+        """The one-row call draws and places exactly as before it became
+        a block of one, so the comparisons above have a fixed reference."""
+        dc, failures, racks, n, seed = cell
+        digest = hashlib.sha256()
+        for rng in keyed_streams(n, seed):
+            digest.update(BurstGenerator(dc, rng).sample(failures, racks).tobytes())
+            digest.update(str(rng.bit_generator.state["state"]).encode())
+        assert digest.hexdigest() == self.ONE_ROW_PINS[cell]
+
+    @given(
+        racks=st.integers(1, 5), enclosures=st.integers(1, 3),
+        disks=st.integers(1, 6), data=st.data(),
+        n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_small_cell(self, racks, enclosures, disks, data, n, seed):
+        dc = DatacenterConfig(
+            racks=racks, enclosures_per_rack=enclosures, disks_per_enclosure=disks
+        )
+        affected = data.draw(st.integers(1, racks))
+        failures = data.draw(st.integers(affected, affected * dc.disks_per_rack))
+        assert_streams_match_per_stream_calls(dc, failures, affected, n, seed)
+
+    def test_validation(self):
+        gen = BurstGenerator(SMALL_DC)
+        rngs = keyed_streams(2, seed=0)
+        with pytest.raises(ValueError):
+            gen.sample_streams(rngs, 3, 5)  # fewer failures than racks
+        with pytest.raises(ValueError):
+            gen.sample_streams(rngs, 21, 2)  # two racks hold 20 disks
+        with pytest.raises(ValueError):
+            gen.sample_streams(rngs, 7, 7)  # SMALL_DC has 6 racks
 
 
 class TestLawMatchesChoiceSampler:

@@ -127,8 +127,24 @@ class TestSL002RngPlumbing:
                 rngs = self.rng_children(stripe)
                 rng = rngs[0]
                 return rng.choice(4)
+
+            def loop_over_parameter(rngs, keys):
+                for i, rng in enumerate(rngs):
+                    keys[i] = rng.random()
         """, rules={"SL002"})
         assert findings == []
+
+    def test_loop_over_module_generators_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, """
+            import numpy as np
+
+            _RNGS = [np.random.default_rng(0)]
+
+            def trial(keys):
+                for i, rng in enumerate(_RNGS):
+                    keys[i] = rng.random()
+        """, rules={"SL002"})
+        assert rule_ids(findings) == ["SL002"]
 
     def test_suppression(self, tmp_path):
         findings = lint_source(tmp_path, """
@@ -423,8 +439,20 @@ class TestSL010ScalarLoopInBatchPath:
             def sweep(fn, contexts, args):
                 for ctx in contexts:
                     fn(ctx, *args)
-        """, rules={"SL010"}, relpath="src/repro/sim/burst.py")
+        """, rules={"SL010"}, relpath="src/repro/sim/simulator.py")
         assert findings == []
+
+    def test_per_stream_loop_in_burst_sampler_flagged(self, tmp_path):
+        """The burst sampler's block form is on the batch path: a loop over
+        its per-stream generators is a per-trial loop."""
+        findings = lint_source(tmp_path, """
+            def sample_streams(self, rngs, failures, racks):
+                for i, rng in enumerate(rngs):  # simlint: disable=SL010
+                    rng.random()
+                for i in range(len(rngs)):
+                    pass
+        """, rules={"SL010"}, relpath="src/repro/sim/burst.py")
+        assert rule_ids(findings) == ["SL010"]
 
     def test_suppression(self, tmp_path):
         findings = lint_source(tmp_path, """
