@@ -56,12 +56,72 @@ def hypergeom_tail(pool: int, failed: int, width: int, p: int) -> float:
         raise ValueError("stripe wider than pool")
     if p >= min(width, failed):
         return 0.0
-    # Imported here: loading scipy.stats costs over a second, and most
-    # runs never reach this line.
+    if p < max(0, width - (pool - failed)):
+        return 1.0  # every stripe holds more than p failed devices
+    if pool < len(_FACTORIALS):
+        return _hypergeom_sf(int(p), int(failed), int(width), int(pool))
+    # Imported here: loading scipy.stats costs over a second and about
+    # 60 MB of resident memory, and only pools wider than the factorial
+    # table reach this line.
     from scipy import stats
 
     # sf(p) = P[X > p] for the hypergeometric X.
     return float(stats.hypergeom.sf(p, pool, failed, width))
+
+
+#: ``float(k!)`` for every ``k!`` a double holds (``170!`` is the last).
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))
+_EPSILON = 2.0**-52
+
+
+def _hypergeom_pmf(x: int, r: int, n: int, N: int) -> float:
+    """P[X = x] for ``n`` draws from ``N`` items of which ``r`` are marked,
+    ``N`` at most 170: the factorial ratio, dividing while the running value
+    is at least 1 and multiplying while it is at most 1, so no partial
+    product overflows."""
+    result = _FACTORIALS[n]
+    num = (_FACTORIALS[r], _FACTORIALS[N - n], _FACTORIALS[N - r])
+    den = (_FACTORIALS[N], _FACTORIALS[x], _FACTORIALS[n - x], _FACTORIALS[r - x],
+           _FACTORIALS[N - n - r + x])
+    i = j = 0
+    while i < len(num) or j < len(den):
+        while j < len(den) and (result >= 1 or i >= len(num)):
+            result /= den[j]
+            j += 1
+        while i < len(num) and (result <= 1 or j >= len(den)):
+            result *= num[i]
+            i += 1
+    return min(max(result, 0.0), 1.0)
+
+
+def _hypergeom_sf(x: int, r: int, n: int, N: int) -> float:
+    """P[X > x] for ``max(0, n + r - N) <= x < min(r, n)`` and ``N`` at most
+    170, without scipy.
+
+    This is the algorithm (and the operation order) of the Boost
+    hypergeometric CDF that ``scipy.stats.hypergeom.sf`` calls for such
+    ``N``, so the two agree bit for bit: below the mode, ``1 - CDF(x)``
+    summed down from ``x``; at or above it, the upper tail summed up from
+    ``x + 1``, each until a term falls below machine epsilon of its scale.
+    """
+    if x < math.floor(float(r + 1) * float(n + 1) / float(N + 2)):
+        result = diff = _hypergeom_pmf(x, r, n, N)
+        lowest = max(0, n + r - N)
+        while diff > _EPSILON:
+            diff = float(x) * float(N + x - n - r) * diff / (float(1 + n - x) * float(1 + r - x))
+            result += diff
+            if x == lowest:
+                break
+            x -= 1
+        result = 1.0 - result
+    else:
+        x += 1
+        result = diff = _hypergeom_pmf(x, r, n, N)
+        while x <= min(r, n) and diff > result * _EPSILON:
+            diff = float(n - x) * float(r - x) * diff / (float(x + 1) * float(N + x + 1 - n - r))
+            result += diff
+            x += 1
+    return min(max(result, 0.0), 1.0)
 
 
 def rack_selection_hits_pmf(

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,42 @@ class TestHypergeomTail:
                 assert type(value) is float
                 assert value == direct
             assert hypergeom_tail.cache_info().hits == 1
+
+    def test_matches_scipy_bit_for_bit(self):
+        """The scipy-free tail returns ``stats.hypergeom.sf``'s float for
+        every argument tuple of these pools, out-of-support ``p`` included."""
+        rng = np.random.default_rng(5)
+        for pool in (1, 7, 20, 60, 120, 170):
+            width = rng.integers(1, pool + 1, 400)
+            failed = rng.integers(0, pool + 1, 400)
+            p = rng.integers(-1, np.minimum(width, failed) + 1)
+            expected = stats.hypergeom.sf(p, pool, failed, width)
+            for args in zip(width.tolist(), failed.tolist(), p.tolist(), expected.tolist()):
+                w, f, q, value = args
+                got = hypergeom_tail(pool, f, w, q)
+                assert got == (0.0 if q >= min(w, f) else value), (pool, f, w, q)
+
+    def test_wide_pool_matches_scipy(self):
+        """Pools past the factorial table take scipy's value."""
+        assert hypergeom_tail(400, 9, 30, 3) == float(stats.hypergeom.sf(3, 400, 9, 30))
+
+    def test_loads_no_scipy(self):
+        """A burst evaluator's tail leaves scipy unloaded: the import is
+        about 60 MB of resident memory for a ``serve`` daemon."""
+        probe = (
+            "import sys\n"
+            "from repro.analysis.combinatorics import hypergeom_tail\n"
+            "hypergeom_tail(120, 4, 20, 3), hypergeom_tail(120, 60, 20, 3)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_memo_never_caches_errors(self):
         for _ in range(3):
